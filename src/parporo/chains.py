@@ -11,15 +11,13 @@ witnesses, so the laws are checked as stated).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import mpmath
 
-from .geometry import (DyadicAddress, Geometry, Root, StoppingParams,
-                       check_parameters, default_parameters)
+from .geometry import DyadicAddress, Geometry, Root, StoppingParams
 from .porosity import CollectionReport, HoleResult, hole_of_translate, maximal_hole
 from .sets import ClosedSetModel
 

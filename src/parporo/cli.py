@@ -22,8 +22,8 @@ from .porosity import (admissible_collection, complementary_collection,
                        hole_of_translate, maximal_hole, porosity_curve)
 from .sampling import SamplerConfig, draw_roots
 from .serialize import fraction_str, interval_json, number_str, parse_number
-from .sets import set_from_json, set_to_json
-from .weights import WeightSpec, a1_scan_roots
+from .sets import set_from_json
+from .weights import WeightSpec, a1_scan
 
 
 def _scan_roots(geom: Geometry, cfg: dict) -> list[Root]:
@@ -268,9 +268,8 @@ def run(argv=None) -> int:
             theta = parse_number(cfg["theta"]) if cfg.get("theta") is not None else 2
             spec = WeightSpec(beta=float(parse_number(cfg["beta"])), n=geom.n,
                               p=geom.p)
-            report = a1_scan_roots(model, _scan_roots(geom, cfg), float(theta), spec,
-                                   tol=float(parse_number(cfg["tol"])),
-                                   threads=threads)
+            report = a1_scan(model, _scan_roots(geom, cfg), float(theta), spec,
+                             tol=float(parse_number(cfg["tol"])), threads=threads)
             result = {
                 "beta": number_str(report.beta),
                 "theta": number_str(report.theta),
@@ -333,10 +332,11 @@ def run(argv=None) -> int:
             cap = int(cfg["cap"])
             delta = _fraction(cfg["delta"])
             base_addr = root.address()
-            adm = admissible_collection(model, base_addr, delta, params.Phi, cap)
+            hole = hole_of_translate(model, base_addr, params.Phi, cap)
+            adm = admissible_collection(model, base_addr, delta, params.Phi, cap,
+                                        hole=hole)
             comp = complementary_collection(model, base_addr, delta, params.Phi,
                                             cap, admissible=adm)
-            hole = hole_of_translate(model, base_addr, params.Phi, cap)
             lam = delta * hole.measure
             if lam == 0:
                 raise CliError("stopping threshold is zero: the translated root "

@@ -18,7 +18,7 @@ the truncation parameter is too close to the branch threshold to certify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -97,14 +97,6 @@ class Geometry:
     @property
     def dp_is_integral(self) -> bool:
         return self.k_floor == self.k_ceil
-
-    @property
-    def spatial_children(self) -> int:
-        return (1 << self.d) ** self.n
-
-    def two_dp_fraction(self) -> Optional[Fraction]:
-        """Exact value of ``2^(d*p)`` when it is an integer, else None."""
-        return Fraction(self.k_floor) if self.dp_is_integral else None
 
     def division_count(self, gamma: "mpmath.mpf | Fraction") -> int:
         """Number of temporal subdivisions for a rectangle with truncation gamma.
@@ -467,17 +459,6 @@ class DyadicAddress:
                 out.append(DyadicAddress(self.root, self.level + 1, spatial, t_base + j))
         return out
 
-    def iter_children(self) -> Iterator["DyadicAddress"]:
-        geom = self.root.geom
-        k = self.root.k_at(self.level)
-        split = 1 << geom.d
-        bases = tuple(s * split for s in self.spatial)
-        t_base = self.temporal * k
-        for combo in _spatial_offsets(geom.n, split):
-            spatial = tuple(b + o for b, o in zip(bases, combo))
-            for j in range(k):
-                yield DyadicAddress(self.root, self.level + 1, spatial, t_base + j)
-
     def parent(self) -> "DyadicAddress":
         if self.level == 0:
             raise ValueError("level-0 rectangle has no parent")
@@ -493,12 +474,6 @@ class DyadicAddress:
         """Dyadic parent translated ``theta0`` parent slabs forward in time."""
         up = self.parent()
         return DyadicAddress(up.root, up.level, up.spatial, up.temporal + params.theta0)
-
-    def forward_ancestor(self, steps: int, params: StoppingParams) -> "DyadicAddress":
-        addr = self
-        for _ in range(steps):
-            addr = addr.forward_parent(params)
-        return addr
 
     def ancestor(self, level: int) -> "DyadicAddress":
         if level > self.level:
@@ -601,7 +576,7 @@ def _spatial_offsets(n: int, split: int) -> Iterator[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# op-style wrappers and dumps
+# recursion tables and dumps
 # ---------------------------------------------------------------------------
 
 
@@ -613,22 +588,6 @@ def gamma_sequence(geom: Geometry, gamma0, depth: int) -> list[tuple[float, int]
     root = Root(geom, (Fraction(0),) * geom.n, Fraction(0), Fraction(1), gamma0)
     root.ensure_depth(depth)
     return [(float(root.gamma_at(i + 1)), root.k_at(i)) for i in range(depth)]
-
-
-def children(addr: DyadicAddress) -> list[DyadicAddress]:
-    return addr.children()
-
-
-def parent(addr: DyadicAddress) -> DyadicAddress:
-    return addr.parent()
-
-
-def forward_parent(addr: DyadicAddress, params: StoppingParams) -> DyadicAddress:
-    return addr.forward_parent(params)
-
-
-def realize(addr: DyadicAddress) -> ParabolicRectangle:
-    return addr.realize()
 
 
 def chain_gap_bound(geom: Geometry, theta0: int) -> mpmath.mpf:

@@ -11,16 +11,15 @@ quantities, never a proof claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .geometry import Geometry, Root, default_parameters
-from .intervals import Interval
-from .porosity import (CollectionReport, admissible_collection, hole_of_translate,
-                       porosity_curve)
+from .porosity import (CollectionReport, admissible_cut, hole_of_translate,
+                       porosity_curve, search_for_cuts)
 from .sampling import SamplerConfig, draw_roots
 from .sets import ClosedSetModel
 from .weights import A1ScanReport, WeightSpec, a1_scan
@@ -50,7 +49,8 @@ class TowerPartition:
 def tower_partition(model: ClosedSetModel, root_addr, delta_seq: Sequence[Fraction],
                     theta, depth_cap: int) -> TowerPartition:
     """Layers of the admissible collections along a strictly decreasing
-    delta sequence; the hole and the free search are shared across deltas."""
+    delta sequence.  One search, level cuts: the hole and the free search
+    are computed once, and each delta's collection is a cut of the search."""
     deltas = [Fraction(d) for d in delta_seq]
     if not deltas:
         raise ValueError("need at least one delta")
@@ -60,8 +60,8 @@ def tower_partition(model: ClosedSetModel, root_addr, delta_seq: Sequence[Fracti
         raise ValueError("delta sequence must be strictly decreasing")
 
     hole = hole_of_translate(model, root_addr, theta, depth_cap)
-    reports = [admissible_collection(model, root_addr, d, theta, depth_cap, hole=hole)
-               for d in deltas]
+    search = search_for_cuts(model, root_addr, hole, deltas, depth_cap)
+    reports = [admissible_cut(search, hole, d, depth_cap) for d in deltas]
     layers = []
     seen: set = set()
     measures = []
@@ -200,9 +200,9 @@ def characterization_harness(model: ClosedSetModel, geom: Geometry,
     a1_report: Optional[A1ScanReport] = None
     if beta > 0:
         spec = WeightSpec(beta=beta, n=geom.n, p=geom.p)
-        a1_report = a1_scan(model, geom, SamplerConfig(seed=config.seed,
-                                                       samples=config.a1_samples),
-                            params.Phi, spec, tol=config.a1_tol,
+        a1_roots = draw_roots(geom, SamplerConfig(seed=config.seed,
+                                                  samples=config.a1_samples))
+        a1_report = a1_scan(model, a1_roots, params.Phi, spec, tol=config.a1_tol,
                             max_cells=config.a1_max_cells, threads=config.threads)
         if not a1_report.all_converged:
             starved.append("a1")
@@ -255,7 +255,10 @@ def _cross_theta_check(model: ClosedSetModel, roots: Sequence[Root],
                        depth_cap: int, agreement: float, threads: int = 1,
                        main=None) -> dict:
     """Compare defect curves at two translations after rescaling deltas by
-    the ratio of the witnessed hole measures."""
+    the ratio of the witnessed hole measures.  The cross curve cuts the
+    main curve's searches; a root is searched again only when a cut lies
+    deeper than a search that stopped above the cap with non-free cells left.
+    """
     from .serialize import number_str
 
     if main is None:
@@ -276,7 +279,7 @@ def _cross_theta_check(model: ClosedSetModel, roots: Sequence[Root],
             d2 = Fraction(1, 2) + d2 / (2 * (1 + d2))  # clamp into (0, 1)
         rescaled.append(d2)
     cross = porosity_curve(model, roots, rescaled, theta_cross, depth_cap,
-                           threads=threads)
+                           threads=threads, searches=main[0].searches)
     diffs = [abs(float(a.empirical_c) - float(b.empirical_c))
              for a, b in zip(main, cross)]
     agrees = all(d <= agreement for d in diffs)

@@ -4,17 +4,24 @@ Hole measures are exact rationals in units of the lattice root's measure,
 so admissibility thresholds compare exactly.  Searches are breadth first
 with pruning at free rectangles; depth caps always surface in the result
 instead of silently truncating.
+
+One search, level cuts: the maximal free collection of a root depends on
+neither delta nor theta, and cells on one level share a measure, so every
+admissible collection is a cut of it at the level ``delta * |M(R^theta)|``
+fixes.  Each root is searched once, as deep as its deepest cut needs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geometry import DyadicAddress, Root
 from .intervals import Interval
-from .sampling import SamplerConfig, draw_roots, run_indexed
+from .sampling import run_indexed
 from .sets import ClosedSetModel, Freeness, rectangle_free, sup_distance_bracket
 
 
@@ -46,6 +53,47 @@ class CollectionReport:
 
 
 @dataclass(frozen=True)
+class FreeSearch(CollectionReport):
+    """Maximal E-free subrectangles of ``base`` down to ``depth`` levels below it.
+
+    ``rectangles`` are sorted by (level, temporal, spatial), so a shallower
+    search is a prefix; ``unknown_levels[i]`` records an UNKNOWN verdict
+    ``i`` levels below the base, and ``depth_cap_hit`` that non-free cells
+    remain at the deepest level searched.
+    """
+
+    unknown_levels: tuple[bool, ...] = ()
+
+    @property
+    def depth(self) -> int:
+        return len(self.unknown_levels) - 1
+
+    def to_depth(self, levels: int) -> "FreeSearch":
+        """What ``_maximal_free(model, base, levels)`` returns, cut from this
+        search and sharing its addresses.  Deeper than the search only works
+        once the search ran out of non-free cells."""
+        if levels > self.depth and self.depth_cap_hit:
+            raise ValueError(f"a search {self.depth} levels deep with non-free cells "
+                             f"left cannot be cut {levels} levels deep")
+        stop = bisect_right(self.rectangles, self.base.level + levels,
+                            key=lambda a: a.level)
+        flags = (self.unknown_levels + (False,) * levels)[:levels + 1]
+        return _free_search(self.base, self.rectangles[:stop], flags,
+                            stop < len(self.rectangles) or self.depth_cap_hit)
+
+
+def _free_search(base: DyadicAddress, rectangles: tuple[DyadicAddress, ...],
+                 unknown_levels: tuple[bool, ...], cap_hit: bool) -> FreeSearch:
+    counts = Counter(a.level for a in rectangles)
+    total = sum((base.root.measure_fraction_at(level) * count
+                 for level, count in counts.items()), Fraction(0))
+    return FreeSearch(base=base, rectangles=rectangles, total_measure=total,
+                      covered_fraction=total / base.measure_fraction(),
+                      depth_cap_hit=cap_hit, unknown_present=any(unknown_levels),
+                      unknown_levels=unknown_levels)
+
+
+@dataclass(frozen=True)
 class PorosityReport:
     delta: Fraction
     theta: float
@@ -55,6 +103,9 @@ class PorosityReport:
     witness_index: int
     depth_cap_hit: bool
     unknown_present: bool
+    # per-root free searches the samples were cut from, shared by every
+    # report of one curve
+    searches: tuple[FreeSearch, ...] = field(default=(), repr=False, compare=False)
 
 
 def _freeness(model: ClosedSetModel, addr: DyadicAddress) -> Freeness:
@@ -89,48 +140,40 @@ def maximal_hole(model: ClosedSetModel, root_addr: DyadicAddress,
         if best is not None:
             return HoleResult(best, best.measure_fraction(), best.l_x(),
                               depth_cap_hit=False, unknown_present=unknown_present)
-        frontier = [child for addr in nxt for child in addr.iter_children()] \
+        frontier = [child for addr in nxt for child in addr.children()] \
             if _rel < depth_cap else nxt
     return HoleResult(None, Fraction(0), Fraction(0),
                       depth_cap_hit=bool(frontier), unknown_present=unknown_present)
 
 
 def free_collection(model: ClosedSetModel, root_addr: DyadicAddress,
-                    depth_cap: int) -> CollectionReport:
+                    depth_cap: int) -> FreeSearch:
     """Maximal E-free dyadic subrectangles: free rectangles whose parent is not free."""
     return _maximal_free(model, root_addr, depth_cap)
 
 
 def _maximal_free(model: ClosedSetModel, root_addr: DyadicAddress,
-                  depth_cap: int) -> CollectionReport:
+                  depth_cap: int) -> FreeSearch:
+    if depth_cap < 0:
+        raise ValueError("depth_cap must be nonnegative")
     members: list[DyadicAddress] = []
-    unknown_present = False
-    cap_hit = False
+    unknown_levels: list[bool] = []
     frontier = [root_addr]
     for rel in range(depth_cap + 1):
         nxt: list[DyadicAddress] = []
+        unknown = False
         for addr in frontier:
             state = _freeness(model, addr)
             if state is Freeness.EMPTY:
                 members.append(addr)
             else:
-                if state is Freeness.UNKNOWN:
-                    unknown_present = True
+                unknown |= state is Freeness.UNKNOWN
                 nxt.append(addr)
+        unknown_levels.append(unknown)
         if rel < depth_cap:
-            frontier = [child for addr in nxt for child in addr.iter_children()]
-        else:
-            cap_hit = bool(nxt)
-    total = sum((m.measure_fraction() for m in members), Fraction(0))
+            frontier = [child for addr in nxt for child in addr.children()]
     members.sort(key=lambda a: (a.level, a.temporal, a.spatial))
-    return CollectionReport(
-        base=root_addr,
-        rectangles=tuple(members),
-        total_measure=total,
-        covered_fraction=total / root_addr.measure_fraction(),
-        depth_cap_hit=cap_hit,
-        unknown_present=unknown_present,
-    )
+    return _free_search(root_addr, tuple(members), tuple(unknown_levels), bool(nxt))
 
 
 def hole_of_translate(model: ClosedSetModel, base: DyadicAddress, theta,
@@ -160,6 +203,44 @@ def hole_of_translate(model: ClosedSetModel, base: DyadicAddress, theta,
                       inner.depth_cap_hit, inner.unknown_present)
 
 
+def _cut_level(root_addr: DyadicAddress, hole: HoleResult, delta: Fraction,
+               depth_cap: int) -> tuple[int, bool]:
+    """Levels below ``root_addr`` whose cells measure at least
+    ``delta * hole.measure`` (at most ``depth_cap``), and whether the cut is
+    cap-starved: the threshold lies past the cap, or the hole is uncertain."""
+    if hole.measure == 0:
+        return depth_cap, True  # a deeper hole could still set a threshold
+    threshold = delta * hole.measure
+    root = root_addr.root
+    levels = 0
+    while levels <= depth_cap and \
+            root.measure_fraction_at(root_addr.level + levels + 1) >= threshold:
+        levels += 1
+    return min(levels, depth_cap), levels > depth_cap or hole.depth_cap_hit
+
+
+def search_for_cuts(model: ClosedSetModel, root_addr: DyadicAddress,
+                    hole: HoleResult, deltas: Sequence[Fraction], depth_cap: int,
+                    reuse: Optional[FreeSearch] = None) -> FreeSearch:
+    """One free search of ``root_addr`` deep enough for every delta's cut;
+    ``reuse`` instead when it is deep enough or ran out of non-free cells."""
+    levels = max(_cut_level(root_addr, hole, d, depth_cap)[0] for d in deltas)
+    if reuse is not None and (levels <= reuse.depth or not reuse.depth_cap_hit):
+        return reuse
+    return _maximal_free(model, root_addr, levels)
+
+
+def admissible_cut(search: FreeSearch, hole: HoleResult, delta: Fraction,
+                   depth_cap: int) -> CollectionReport:
+    """Maximal free rectangles with |P| >= delta * |M(R^theta)|, cut from the
+    search of the base; ``hole`` is the maximal hole of R^theta."""
+    levels, cap_hit = _cut_level(search.base, hole, delta, depth_cap)
+    cut = search.to_depth(levels)
+    return CollectionReport(cut.base, cut.rectangles, cut.total_measure,
+                            cut.covered_fraction, depth_cap_hit=cap_hit,
+                            unknown_present=cut.unknown_present or hole.unknown_present)
+
+
 def admissible_collection(model: ClosedSetModel, root_addr: DyadicAddress,
                           delta: Fraction, theta, depth_cap: int,
                           hole: Optional[HoleResult] = None) -> CollectionReport:
@@ -174,32 +255,8 @@ def admissible_collection(model: ClosedSetModel, root_addr: DyadicAddress,
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if hole is None:
         hole = hole_of_translate(model, root_addr, theta, depth_cap)
-    if hole.measure == 0:
-        report = _maximal_free(model, root_addr, depth_cap)
-        return CollectionReport(
-            base=report.base, rectangles=report.rectangles,
-            total_measure=report.total_measure,
-            covered_fraction=report.covered_fraction,
-            depth_cap_hit=True,  # a deeper hole could still set a threshold
-            unknown_present=report.unknown_present or hole.unknown_present,
-        )
-    threshold = delta * hole.measure
-    root = root_addr.root
-    cutoff = root_addr.level
-    while root.measure_fraction_at(cutoff + 1) >= threshold:
-        cutoff += 1
-        if cutoff - root_addr.level > depth_cap + 64:
-            break
-    effective = min(depth_cap, cutoff - root_addr.level)
-    report = _maximal_free(model, root_addr, effective)
-    return CollectionReport(
-        base=report.base,
-        rectangles=report.rectangles,
-        total_measure=report.total_measure,
-        covered_fraction=report.covered_fraction,
-        depth_cap_hit=(cutoff - root_addr.level) > depth_cap or hole.depth_cap_hit,
-        unknown_present=report.unknown_present or hole.unknown_present,
-    )
+    search = search_for_cuts(model, root_addr, hole, [delta], depth_cap)
+    return admissible_cut(search, hole, delta, depth_cap)
 
 
 def complementary_collection(model: ClosedSetModel, root_addr: DyadicAddress,
@@ -223,7 +280,7 @@ def complementary_collection(model: ClosedSetModel, root_addr: DyadicAddress,
     stack = [root_addr]
     while stack:
         addr = stack.pop()
-        for child in addr.iter_children():
+        for child in addr.children():
             key = child.key()
             if key in member_keys:
                 continue
@@ -260,34 +317,37 @@ def _root_descriptor(root: Root) -> dict:
 
 def porosity_curve(model: ClosedSetModel, roots: Sequence[Root],
                    deltas: Sequence[Fraction], theta, depth_cap: int,
-                   threads: int = 1) -> list[PorosityReport]:
+                   threads: int = 1,
+                   searches: Optional[Sequence[FreeSearch]] = None
+                   ) -> list[PorosityReport]:
     """Covered fractions per root for each delta; one report per delta.
 
-    The per-root hole and free collection are computed once and shared by
-    every delta; results are reduced in sample order so the reports do not
+    One search, level cuts: each root's hole and free search are computed
+    once, and every delta's admissible collection is a cut of that search;
+    ``searches`` (one per root, say another curve's) are cut instead when
+    deep enough.  Results are reduced in sample order, so the reports do not
     depend on the worker count.
     """
     deltas = [Fraction(d) for d in deltas]
     if not deltas or any(not 0 < d < 1 for d in deltas):
         raise ValueError("deltas must lie in (0, 1)")
+    reuse = searches or [None] * len(roots)
 
-    def per_root(root: Root):
+    def per_root(item):
+        root, old = item
         base = root.address()
         hole = hole_of_translate(model, base, theta, depth_cap)
-        per_delta = {}
-        for d in sorted(set(deltas)):
-            per_delta[d] = admissible_collection(model, base, d, theta, depth_cap,
-                                                 hole=hole)
-        return root, hole, per_delta
+        return root, hole, search_for_cuts(model, base, hole, deltas, depth_cap, old)
 
-    computed = run_indexed(list(roots), per_root, threads)
+    computed = run_indexed(list(zip(roots, reuse, strict=True)), per_root, threads)
+    found = tuple(search for _root, _hole, search in computed)
     reports = []
     for d in deltas:
         samples = []
         cap_hit = False
         unknown = False
-        for root, hole, per_delta in computed:
-            rep = per_delta[d]
+        for root, hole, search in computed:
+            rep = admissible_cut(search, hole, d, depth_cap)
             cap_hit |= rep.depth_cap_hit
             unknown |= rep.unknown_present
             samples.append({
@@ -301,16 +361,9 @@ def porosity_curve(model: ClosedSetModel, roots: Sequence[Root],
         reports.append(PorosityReport(
             delta=d, theta=float(theta), depth_cap=depth_cap,
             samples=tuple(samples), empirical_c=values[witness],
-            witness_index=witness, depth_cap_hit=cap_hit, unknown_present=unknown))
+            witness_index=witness, depth_cap_hit=cap_hit, unknown_present=unknown,
+            searches=found))
     return reports
-
-
-def porosity_scan(model: ClosedSetModel, geom, config: SamplerConfig,
-                  delta: Fraction, theta, depth_cap: int,
-                  threads: int = 1) -> PorosityReport:
-    roots = draw_roots(geom, config)
-    return porosity_curve(model, roots, [Fraction(delta)], theta, depth_cap,
-                          threads=threads)[0]
 
 
 def hole_esssup_bracket(model: ClosedSetModel, addr: DyadicAddress,

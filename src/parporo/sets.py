@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -464,6 +464,10 @@ class IFSFractal:
             sup_lo)
         sup_hi += max(rh - rl for rl, rh in root) / 2
         return Interval(inf_lo, inf_hi), Interval(sup_lo, sup_hi)
+
+    def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
+        inf_iv, sup_iv = self.dist_box_range(box, p)
+        return inf_iv.lo, sup_iv.hi
 
     def sup_is_exact(self) -> bool:
         return False

@@ -14,16 +14,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .geometry import DyadicAddress, ParabolicRectangle, Root
+from .geometry import ParabolicRectangle, Root
 from .intervals import Interval, interval_sum
-from .sampling import SamplerConfig, draw_roots, run_indexed
-from .sets import (Box, BoxUnion, ClosedSetModel, HalfSpaceTime, IFSFractal,
-                   PointCloud, SpatialHyperplane, sup_distance_bracket)
+from .sampling import run_indexed
+from .sets import (Box, BoxUnion, ClosedSetModel, HalfSpaceTime, PointCloud,
+                   SpatialHyperplane, sup_distance_bracket)
 
 
 @dataclass(frozen=True)
@@ -156,14 +153,6 @@ def _pointcloud_singular_upper(model: PointCloud, box: Box, q: float, p: float,
     return near_total + far_part
 
 
-def _gap_span(model: ClosedSetModel, box: Box, p: float) -> tuple[float, float]:
-    fast = getattr(model, "dist_box_gap_span", None)
-    if fast is not None:
-        return fast(box, p)
-    inf_iv, sup_iv = model.dist_box_range(box, p)
-    return inf_iv.lo, sup_iv.hi
-
-
 @dataclass(frozen=True)
 class _Cell:
     box: Box
@@ -190,7 +179,7 @@ def _bound_cell(model: ClosedSetModel, box: Box, spec: WeightSpec) -> _Cell:
         # singularity: the integral is genuinely infinite
         return _Cell(box, Interval(0.0, math.inf), diverged=True, lower_only=False)
 
-    inf_lo, sup_hi = _gap_span(model, box, p)
+    inf_lo, sup_hi = model.dist_box_gap_span(box, p)
     measure = _box_measure(box)
     lo = measure * _pow_neg(sup_hi, q) if sup_hi > 0 else 0.0
     if inf_lo > 0.0:
@@ -337,17 +326,10 @@ class A1ScanReport:
     all_converged: bool
 
 
-def a1_scan(model: ClosedSetModel, geom, config: SamplerConfig, theta: float,
+def a1_scan(model: ClosedSetModel, roots: Sequence[Root], theta: float,
             spec: WeightSpec, tol: float = 1e-5, max_cells: int = 20000,
             threads: int = 1) -> A1ScanReport:
-    """Sup of the ratio upper bounds over sampled rectangles plus witness."""
-    return a1_scan_roots(model, draw_roots(geom, config), theta, spec,
-                         tol=tol, max_cells=max_cells, threads=threads)
-
-
-def a1_scan_roots(model: ClosedSetModel, roots: Sequence[Root], theta: float,
-                  spec: WeightSpec, tol: float = 1e-5, max_cells: int = 20000,
-                  threads: int = 1) -> A1ScanReport:
+    """Sup of the ratio upper bounds over the roots' rectangles plus witness."""
 
     def per_root(root: Root) -> RatioResult:
         return a1_ratio(model, root, theta, spec, tol=tol, max_cells=max_cells)

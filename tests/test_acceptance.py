@@ -27,7 +27,7 @@ from parporo.porosity import (admissible_collection, complementary_collection,
 from parporo.sampling import SamplerConfig, draw_roots
 from parporo.sets import (Freeness, HalfSpaceTime, PointCloud, SpatialHyperplane,
                           rectangle_free, single_point)
-from parporo.weights import (WeightSpec, a1_ratio, a1_scan_roots, annular_constant,
+from parporo.weights import (WeightSpec, a1_ratio, a1_scan, annular_constant,
                              integrate_weight)
 
 LOG2_9 = math.log2(9.0)
@@ -459,7 +459,7 @@ def _porosity_json(model, geom, threads):
 def _a1_json(model, geom, threads):
     roots = draw_roots(geom, SamplerConfig(seed=10, samples=6))
     spec = WeightSpec(beta=1 / 6, n=1, p=2.0)
-    rep = a1_scan_roots(model, roots, 2.0, spec, tol=1e-3, threads=threads)
+    rep = a1_scan(model, roots, 2.0, spec, tol=1e-3, threads=threads)
     return json.dumps({
         "sup": [repr(rep.sup_ratio.lo), repr(rep.sup_ratio.hi)],
         "witness": rep.witness_index,

@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+from parporo import porosity
 from parporo.geometry import DyadicAddress, Root, new_geometry
+from parporo.improvement import HarnessConfig, characterization_harness, tower_partition
 from parporo.intervals import Interval
-from parporo.porosity import (admissible_collection, complementary_collection,
-                              free_collection, hole_esssup_bracket,
-                              hole_of_translate, maximal_hole, porosity_curve,
-                              porosity_scan)
+from parporo.porosity import (HoleResult, admissible_collection, admissible_cut,
+                              complementary_collection, free_collection,
+                              hole_esssup_bracket, hole_of_translate, maximal_hole,
+                              porosity_curve, search_for_cuts)
 from parporo.sampling import SamplerConfig, draw_roots
-from parporo.sets import (Freeness, PointCloud, SpatialHyperplane,
+from parporo.sets import (Freeness, PointCloud, SpatialHyperplane, cantor_times_time,
                           rectangle_free, single_point)
 
 
@@ -192,8 +194,8 @@ def test_porosity_scan_deterministic_and_monotone(hyperplane, geom12):
 
 def test_porosity_scan_far_set(geom12):
     far = PointCloud(((50.0, -1e9),))
-    rep = porosity_scan(far, geom12, SamplerConfig(seed=1, samples=5),
-                        Fraction(1, 2), 15, 2)
+    rep = porosity_curve(far, draw_roots(geom12, SamplerConfig(seed=1, samples=5)),
+                         [Fraction(1, 2)], 15, 2)[0]
     assert rep.empirical_c == 1
 
 
@@ -221,3 +223,128 @@ def test_hole_of_translate_integer_vs_real(unit_root, hyperplane):
     a = hole_of_translate(hyperplane, unit_root.address(), 3, 2)
     b = hole_of_translate(hyperplane, unit_root.address(), 2.5, 2)
     assert a.measure == b.measure == Fraction(1, 64)
+
+
+# ---------------------------------------------------------------------------
+# one search per root: level cuts against fresh searches
+# ---------------------------------------------------------------------------
+
+
+def _assert_cuts_match_fresh(model, base, deltas, cap, hole):
+    search = search_for_cuts(model, base, hole, deltas, cap)
+    fresh_at = [porosity._maximal_free(model, base, i) for i in range(search.depth + 1)]
+    for levels, fresh in enumerate(fresh_at):
+        cut = search.to_depth(levels)
+        assert cut == fresh
+        assert all(a is b for a, b in zip(cut.rectangles, search.rectangles))
+    for delta in deltas:
+        adm = admissible_cut(search, hole, delta, cap)
+        assert adm == admissible_collection(model, base, delta, None, cap, hole=hole)
+        fresh = fresh_at[_cut_levels(base, hole, delta, cap)]
+        for field in ("rectangles", "total_measure", "covered_fraction"):
+            assert getattr(adm, field) == getattr(fresh, field)
+        assert adm.unknown_present == (fresh.unknown_present or hole.unknown_present)
+    return search
+
+
+def _cut_levels(base, hole, delta, cap):
+    """Deepest level within the cap whose cells reach the threshold."""
+    if hole.measure == 0:
+        return cap
+    measures = [base.root.measure_fraction_at(base.level + i) for i in range(cap + 1)]
+    return max(i for i, m in enumerate(measures) if m >= delta * hole.measure)
+
+
+DELTAS = [Fraction(99, 100), Fraction(1, 2), Fraction(1, 128), Fraction(1, 8192)]
+
+
+@pytest.mark.parametrize("p, cap", [(2.0, 3), (1.5, 2)])
+def test_cuts_match_fresh_searches_hyperplane(hyperplane, p, cap):
+    g = new_geometry(1, p)
+    base = Root(g, (Fraction(1, 8),), Fraction(0), Fraction(1), Fraction(1, 4)).address()
+    hole = hole_of_translate(hyperplane, base, 3, cap)
+    search = _assert_cuts_match_fresh(hyperplane, base, DELTAS, cap, hole)
+    assert search.depth == cap and search.depth_cap_hit
+
+
+@pytest.mark.parametrize("fixture", ["origin_point", "coarse_grid"])
+def test_cuts_match_fresh_searches_point_sets(unit_root, fixture, request):
+    model = request.getfixturevalue(fixture)
+    base = unit_root.address()
+    hole = hole_of_translate(model, base, 15, 3)
+    _assert_cuts_match_fresh(model, base, DELTAS, 3, hole)
+
+
+def test_cut_without_hole_is_the_full_search(unit_root, hyperplane):
+    # no certified hole: the cut is the whole capped search and flags the cap
+    no_hole = HoleResult(None, Fraction(0), Fraction(0), depth_cap_hit=True)
+    base = unit_root.address()
+    search = _assert_cuts_match_fresh(hyperplane, base, [Fraction(1, 2)], 2, no_hole)
+    adm = admissible_cut(search, no_hole, Fraction(1, 2), 2)
+    assert adm.rectangles == search.rectangles and adm.depth_cap_hit
+
+    pts = [(-0.5 + i / 40 + 1 / 120, -1 + j / 20 + 1 / 120)
+           for i in range(40) for j in range(20)]
+    dense = PointCloud(tuple(pts))
+    hole = hole_of_translate(dense, base, 0, 1)
+    assert hole.measure == 0 and hole.depth_cap_hit
+    _assert_cuts_match_fresh(dense, base, [Fraction(1, 2)], 1, hole)
+
+
+def test_cut_keeps_unknowns_below_it_out():
+    g = new_geometry(1, 2.0)
+    base = Root(g, (Fraction(1, 2),), Fraction(0), Fraction(1), Fraction(0)).address()
+    shallow_model = cantor_times_time(depth_cap=1)
+    search = porosity._maximal_free(shallow_model, base, 1)
+    assert search.unknown_levels == (False, True)
+    assert not search.to_depth(0).unknown_present
+    assert search.to_depth(0) == porosity._maximal_free(shallow_model, base, 0)
+
+    # the cut at delta 1/2 stops one level above the only UNKNOWN verdicts
+    model = cantor_times_time(depth_cap=2)
+    hole = hole_of_translate(model, base, 15, 2)
+    assert not hole.unknown_present
+    search = _assert_cuts_match_fresh(model, base, [Fraction(1, 2), Fraction(1, 1000)],
+                                      2, hole)
+    assert search.unknown_levels == (False, False, True)
+    assert not admissible_cut(search, hole, Fraction(1, 2), 2).unknown_present
+
+
+def test_shallow_search_that_ran_out_serves_deeper_cuts(unit_root):
+    far = PointCloud(((10.0, -1e6),))
+    search = porosity._maximal_free(far, unit_root.address(), 0)
+    assert not search.depth_cap_hit
+    assert search.to_depth(2) == porosity._maximal_free(far, unit_root.address(), 2)
+
+
+def test_one_search_per_root(monkeypatch, hyperplane, geom12, unit_root):
+    searched = []
+    real = porosity._maximal_free
+
+    def counting(model, root_addr, depth_cap):
+        searched.append(root_addr.root)
+        return real(model, root_addr, depth_cap)
+
+    monkeypatch.setattr(porosity, "_maximal_free", counting)
+    roots = draw_roots(geom12, SamplerConfig(seed=9, samples=6))
+    curve = porosity_curve(hyperplane, roots, DELTAS[1:], 15, 3)
+    assert searched == roots
+
+    # a shallower curve's searches are cut where they serve, searched again
+    # where a deeper cut meets non-free cells they left behind
+    shallow = porosity_curve(hyperplane, roots, [Fraction(1, 2)], 15, 3)
+    searched.clear()
+    again = porosity_curve(hyperplane, roots, DELTAS[1:], 15, 3,
+                           searches=shallow[0].searches)
+    assert again == curve
+    assert searched == [s.base.root for s in shallow[0].searches if s.depth_cap_hit]
+    assert 0 < len(searched) < len(roots)
+
+    searched.clear()
+    tower_partition(hyperplane, unit_root.address(), DELTAS[1:], 15, 3)
+    assert searched == [unit_root]
+
+    # both curves of the harness: theta does not change the plane's holes
+    searched.clear()
+    characterization_harness(hyperplane, geom12, HarnessConfig(samples=4, depth_cap=2))
+    assert len(searched) == 4 and len({id(r) for r in searched}) == 4

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from parporo.geometry import ParabolicRectangle, Root, new_geometry, translate
-from parporo.sampling import SamplerConfig
+from parporo.sampling import SamplerConfig, draw_roots
 from parporo.sets import (BoxUnion, HalfSpaceTime, PointCloud, SpatialHyperplane,
                           single_point)
 from oracles import halton_array
@@ -175,8 +175,9 @@ def test_positive_measure_overlap_diverges():
 
 def test_a1_scan_deterministic(geom12, hyperplane):
     config = SamplerConfig(seed=3, samples=6)
-    rep1 = a1_scan(hyperplane, geom12, config, 2.0, SPEC, tol=1e-3)
-    rep4 = a1_scan(hyperplane, geom12, config, 2.0, SPEC, tol=1e-3, threads=4)
+    roots = draw_roots(geom12, config)
+    rep1 = a1_scan(hyperplane, roots, 2.0, SPEC, tol=1e-3)
+    rep4 = a1_scan(hyperplane, roots, 2.0, SPEC, tol=1e-3, threads=4)
     assert rep1.sup_ratio.lo == rep4.sup_ratio.lo
     assert rep1.sup_ratio.hi == rep4.sup_ratio.hi
     assert rep1.witness_index == rep4.witness_index
@@ -186,6 +187,6 @@ def test_a1_scan_deterministic(geom12, hyperplane):
 
 def test_a1_scan_flags_divergence(geom12, hyperplane):
     hot = WeightSpec(beta=0.5, n=1, p=2.0)
-    rep = a1_scan(hyperplane, geom12, SamplerConfig(seed=5, samples=8), 2.0, hot,
-                  tol=1e-2)
+    rep = a1_scan(hyperplane, draw_roots(geom12, SamplerConfig(seed=5, samples=8)),
+                  2.0, hot, tol=1e-2)
     assert rep.any_unbounded  # some sampled rectangle crosses the plane
