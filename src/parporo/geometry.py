@@ -9,10 +9,14 @@ parameter stays inside ``[0, 1/2]``.
 All address arithmetic is exact: temporal positions are integer counts of
 level slabs (slab width is ``l_t(root) / K_i`` with ``K_i`` the product of
 the per-level division counts), spatial positions are integer cell indices,
-and realized bounds are ``fractions.Fraction`` multiples of the root's side
-and temporal length.  ``2^(d*p)`` itself is evaluated with mpmath at a
-configurable precision; the division-count branch refuses to choose when
-the truncation parameter is too close to the branch threshold to certify.
+and exact bounds (``spatial_intervals``, ``temporal_offsets``) are
+``fractions.Fraction`` multiples of the root's side and temporal length.
+``realize`` returns floats read from per-level tables that each root builds
+once from the exact values (each entry is ``float()`` of its exact value),
+so a cell costs a few float operations.  ``2^(d*p)`` itself is evaluated
+with mpmath at a configurable precision; the division-count branch refuses
+to choose when the truncation parameter is too close to the branch
+threshold to certify.
 """
 
 from __future__ import annotations
@@ -280,10 +284,10 @@ def plus_theta(gamma: float) -> float:
 class Root:
     """Root rectangle of a lattice plus its truncation/division recursion.
 
-    ``center`` and ``side`` are exact rationals so that realized spatial
-    bounds are exact.  ``top_time`` may be a rational or a float (absolute
-    times are only consumed by distance oracles); temporal bookkeeping
-    within the time strip is exact regardless.
+    ``center`` and ``side`` are exact rationals so that spatial bounds
+    (``DyadicAddress.spatial_intervals``) are exact.  ``top_time`` may be a
+    rational or a float (absolute times are only consumed by distance
+    oracles); temporal bookkeeping within the time strip is exact regardless.
     """
 
     def __init__(self, geom: Geometry, center: Sequence[RationalLike],
@@ -308,6 +312,12 @@ class Root:
         self._gammas: list = [self._gamma0_mpf()]
         self._ks: list[int] = []
         self._K: list[int] = [1]
+        # float views for realize: per level (l_x, clamped gamma, l_x^p, K_i),
+        # filled on first use; the lower spatial face per axis, t_lo, l_t
+        self._floats: list[tuple[float, float, float, int]] = []
+        self._origins = tuple(float(c - side / 2) for c in center)
+        self._t_lo = self.t_lo_float()
+        self._l_t = self.l_t_root_float()
 
     def _gamma0_mpf(self):
         with mpmath.workprec(self.geom.precision_bits):
@@ -316,6 +326,8 @@ class Root:
     # -- recursion ----------------------------------------------------------
 
     def ensure_depth(self, depth: int) -> None:
+        if len(self._ks) >= depth:
+            return
         geom = self.geom
         with mpmath.workprec(geom.precision_bits):
             while len(self._ks) < depth:
@@ -330,6 +342,16 @@ class Root:
                 self._ks.append(k)
                 self._K.append(self._K[-1] * k)
                 self._gammas.append(nxt)
+
+    def _floats_to(self, level: int) -> tuple[float, float, float, int]:
+        """Float table entry of ``level``, filling the table up to it."""
+        self.ensure_depth(level)
+        while len(self._floats) <= level:
+            i = len(self._floats)
+            w = float(self.l_x_at(i))
+            gamma = min(max(float(self._gammas[i]), 0.0), 0.5)
+            self._floats.append((w, gamma, w ** self.geom.p, self._K[i]))
+        return self._floats[level]
 
     def gamma_at(self, level: int) -> mpmath.mpf:
         self.ensure_depth(level)
@@ -536,22 +558,19 @@ class DyadicAddress:
         return tuple(out)
 
     def realize(self) -> ParabolicRectangle:
-        """Float rectangle for distance/measure queries."""
+        """Float rectangle for distance/measure queries, from the root's
+        per-level float table."""
         root = self.root
-        geom = root.geom
-        w = float(root.l_x_at(self.level))
-        centers = []
-        for c, s in zip(root.center, self.spatial):
-            origin = float(c - root.side / 2)
-            centers.append(origin + (s + 0.5) * w)
-        lo, _hi = self.temporal_offsets()
-        t_lo = root.t_lo_float() + float(lo) * root.l_t_root_float()
-        gamma = float(self.gamma())
+        try:
+            w, gamma, w_p, K = root._floats[self.level]
+        except IndexError:
+            w, gamma, w_p, K = root._floats_to(self.level)
+        t_lo = root._t_lo + (self.temporal / K) * root._l_t
         return ParabolicRectangle(
-            center=tuple(centers),
-            top_time=t_lo + w ** geom.p,
+            center=tuple(o + (s + 0.5) * w for o, s in zip(root._origins, self.spatial)),
+            top_time=t_lo + w_p,
             side=w,
-            gamma=min(max(gamma, 0.0), 0.5),
+            gamma=gamma,
         )
 
     def gamma(self) -> mpmath.mpf:

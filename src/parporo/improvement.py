@@ -256,8 +256,9 @@ def _cross_theta_check(model: ClosedSetModel, roots: Sequence[Root],
                        main=None) -> dict:
     """Compare defect curves at two translations after rescaling deltas by
     the ratio of the witnessed hole measures.  The cross curve cuts the
-    main curve's searches; a root is searched again only when a cut lies
-    deeper than a search that stopped above the cap with non-free cells left.
+    main curve's searches and reuses the first root's cross hole; a root is
+    searched again only when a cut lies deeper than a search that stopped
+    above the cap with non-free cells left.
     """
     from .serialize import number_str
 
@@ -279,7 +280,8 @@ def _cross_theta_check(model: ClosedSetModel, roots: Sequence[Root],
             d2 = Fraction(1, 2) + d2 / (2 * (1 + d2))  # clamp into (0, 1)
         rescaled.append(d2)
     cross = porosity_curve(model, roots, rescaled, theta_cross, depth_cap,
-                           threads=threads, searches=main[0].searches)
+                           threads=threads, searches=main[0].searches,
+                           holes=[hole_cross] + [None] * (len(roots) - 1))
     diffs = [abs(float(a.empirical_c) - float(b.empirical_c))
              for a, b in zip(main, cross)]
     agrees = all(d <= agreement for d in diffs)

@@ -318,28 +318,34 @@ def _root_descriptor(root: Root) -> dict:
 def porosity_curve(model: ClosedSetModel, roots: Sequence[Root],
                    deltas: Sequence[Fraction], theta, depth_cap: int,
                    threads: int = 1,
-                   searches: Optional[Sequence[FreeSearch]] = None
+                   searches: Optional[Sequence[FreeSearch]] = None,
+                   holes: Optional[Sequence[Optional[HoleResult]]] = None
                    ) -> list[PorosityReport]:
     """Covered fractions per root for each delta; one report per delta.
 
     One search, level cuts: each root's hole and free search are computed
     once, and every delta's admissible collection is a cut of that search;
     ``searches`` (one per root, say another curve's) are cut instead when
-    deep enough.  Results are reduced in sample order, so the reports do not
-    depend on the worker count.
+    deep enough, and ``holes`` (one per root, ``None`` where unknown) are
+    the roots' maximal holes at ``theta`` when the caller already has them.
+    Results are reduced in sample order, so the reports do not depend on
+    the worker count.
     """
     deltas = [Fraction(d) for d in deltas]
     if not deltas or any(not 0 < d < 1 for d in deltas):
         raise ValueError("deltas must lie in (0, 1)")
     reuse = searches or [None] * len(roots)
+    known = holes or [None] * len(roots)
 
     def per_root(item):
-        root, old = item
+        root, old, hole = item
         base = root.address()
-        hole = hole_of_translate(model, base, theta, depth_cap)
+        if hole is None:
+            hole = hole_of_translate(model, base, theta, depth_cap)
         return root, hole, search_for_cuts(model, base, hole, deltas, depth_cap, old)
 
-    computed = run_indexed(list(zip(roots, reuse, strict=True)), per_root, threads)
+    computed = run_indexed(list(zip(roots, reuse, known, strict=True)), per_root,
+                           threads)
     found = tuple(search for _root, _hole, search in computed)
     reports = []
     for d in deltas:

@@ -83,7 +83,12 @@ def _halfopen_meets_closed(alo: float, ahi: float, blo: float, bhi: float) -> bo
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite set of space-time points (vectorized over the cloud)."""
+    """Finite set of space-time points (vectorized over the cloud).
+
+    The coordinate arrays ``_xs``/``_ts`` hold the points sorted by time, so
+    ``meets_box`` bisects the time window; the distance queries take minima
+    over the points, which do not depend on that order.
+    """
 
     points: tuple[Point, ...]
 
@@ -94,6 +99,9 @@ class PointCloud:
         if len(dims) != 1:
             raise ValueError("all points must share a dimension")
         arr = np.asarray(self.points, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError("point coordinates must be finite")
+        arr = arr[np.argsort(arr[:, -1], kind="stable")]
         object.__setattr__(self, "_xs", arr[:, :-1])
         object.__setattr__(self, "_ts", arr[:, -1])
 
@@ -168,11 +176,17 @@ class PointCloud:
 
     def meets_box(self, box: Box) -> Freeness:
         bounds, (tlo, thi) = box
+        # the points with tlo <= t < thi, by bisection of the sorted times
+        first = self._ts.searchsorted(tlo, "left")
+        stop = self._ts.searchsorted(thi, "left")
+        if first >= stop:
+            return Freeness.EMPTY
+        if not self._xs.shape[1]:
+            return Freeness.NONEMPTY
+        xs = self._xs[first:stop]
         lo = np.asarray([b[0] for b in bounds])
         hi = np.asarray([b[1] for b in bounds])
-        inside = (self._ts >= tlo) & (self._ts < thi)
-        if self._xs.shape[1]:
-            inside &= ((self._xs >= lo) & (self._xs < hi)).all(axis=1)
+        inside = ((xs >= lo) & (xs < hi)).all(axis=1)
         return Freeness.NONEMPTY if bool(inside.any()) else Freeness.EMPTY
 
     def to_json(self) -> dict:

@@ -5,7 +5,28 @@ every address level by level and re-derive maximality directly from the
 definitions.
 """
 
+from parporo.geometry import ParabolicRectangle
 from parporo.sets import Freeness, rectangle_free
+
+
+def exact_realize(addr):
+    """``DyadicAddress.realize`` worked out from the exact lattice values:
+    each bound is ``float()`` of its Fraction or mpmath value."""
+    root = addr.root
+    w = float(root.l_x_at(addr.level))
+    centers = []
+    for c, s in zip(root.center, addr.spatial):
+        origin = float(c - root.side / 2)
+        centers.append(origin + (s + 0.5) * w)
+    lo, _hi = addr.temporal_offsets()
+    t_lo = root.t_lo_float() + float(lo) * root.l_t_root_float()
+    gamma = float(addr.gamma())
+    return ParabolicRectangle(
+        center=tuple(centers),
+        top_time=t_lo + w ** root.geom.p,
+        side=w,
+        gamma=min(max(gamma, 0.0), 0.5),
+    )
 
 
 def enumerate_addresses(root_addr, depth):

@@ -136,6 +136,14 @@ def test_error_unknown_set_type(capsys, tmp_path):
     assert "invalid set definition" in err
 
 
+def test_error_non_finite_point(capsys, tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"type": "points", "coords": [["0", "-1/2"], ["nan", "0"]]}))
+    code, out, err = run_cli(capsys, "maxhole", "--set", str(bad))
+    assert code == 1 and out == ""
+    assert "invalid set definition" in err and "finite" in err
+
+
 def test_error_invalid_geometry(capsys):
     code, _, err = run_cli(capsys, "maxhole", "--set", HYPERPLANE,
                            "--p", "1.05", "--d", "2")

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import exact_realize
 from parporo.geometry import (AmbiguousBranchError, DyadicAddress, Root,
                               StoppingParams, chain_gap_bound, check_parameters,
                               default_parameters, gamma_sequence, lattice_dump,
@@ -300,3 +303,67 @@ def test_lattice_dump_shape(unit_root):
     lvl1 = [r for r in rows if r["level"] == 1]
     assert {r["temporal"] for r in lvl1} == set(range(16))
     assert all(r["l_x"] == "1/4" for r in lvl1)
+
+
+# ---------------------------------------------------------------------------
+# realize against the exact lattice values
+# ---------------------------------------------------------------------------
+
+REALIZE_GEOMS = {(n, p): new_geometry(n, p) for n in (1, 2) for p in (2.0, 1.5, math.e)}
+fractions = st.builds(Fraction, st.integers(-64, 64), st.integers(1, 16))
+
+
+@st.composite
+def lattice_cells(draw):
+    """A fresh root and a few cells of it at levels 0-4, slabs anywhere on
+    the time strip: below the root, inside it, and past it."""
+    n = draw(st.sampled_from([1, 2]))
+    p = draw(st.sampled_from([2.0, 1.5, math.e]))
+    top = draw(st.one_of(fractions, st.floats(-1e3, 1e3, allow_nan=False)))
+    root = Root(REALIZE_GEOMS[n, p], tuple(draw(fractions) for _ in range(n)), top,
+                Fraction(draw(st.integers(1, 64)), draw(st.integers(1, 16))),
+                Fraction(draw(st.integers(0, 8)), 16))
+    cells = []
+    for level in draw(st.lists(st.integers(0, 4), min_size=1, max_size=6)):
+        side = 1 << (root.geom.d * level)
+        K = root.slab_count(level)
+        spatial = tuple(draw(st.integers(0, side - 1)) for _ in range(n))
+        cells.append(DyadicAddress(root, level, spatial, draw(st.integers(-2 * K, 2 * K))))
+    return cells
+
+
+def _float_bits(rect):
+    return ([c.hex() for c in rect.center], rect.top_time.hex(), rect.side.hex(),
+            rect.gamma.hex())
+
+
+@given(cells=lattice_cells())
+@settings(max_examples=300, deadline=None)
+def test_realize_matches_exact_values_bit_for_bit(cells):
+    for addr in cells:
+        fast = addr.realize()  # fills the root's float table on first use
+        assert _float_bits(fast) == _float_bits(exact_realize(addr))
+
+
+def test_realize_on_warm_root_enters_no_mpmath(monkeypatch):
+    geom = new_geometry(1, 1.5)  # non-integral 2^dp: the branch runs mpmath
+    root = Root(geom, (Fraction(1, 3),), Fraction(1, 7), Fraction(3, 2), Fraction(1, 4))
+    entered = []
+    real = mpmath.workprec
+
+    def counting(*args, **kwargs):
+        entered.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mpmath, "workprec", counting)
+    root.ensure_depth(3)
+    assert entered  # extending the recursion does work at precision
+    entered.clear()
+    rng = random.Random(5)
+    for i in range(100):
+        level = i % 4
+        K = root.slab_count(level)
+        addr = DyadicAddress(root, level, (rng.randrange(1 << (geom.d * level)),),
+                             rng.randrange(-K, 2 * K))
+        addr.realize()
+    assert entered == []

@@ -319,13 +319,20 @@ def test_shallow_search_that_ran_out_serves_deeper_cuts(unit_root):
 
 def test_one_search_per_root(monkeypatch, hyperplane, geom12, unit_root):
     searched = []
+    holes = []
     real = porosity._maximal_free
+    real_hole = porosity.maximal_hole
 
     def counting(model, root_addr, depth_cap):
         searched.append(root_addr.root)
         return real(model, root_addr, depth_cap)
 
+    def counting_holes(model, root_addr, depth_cap):
+        holes.append(root_addr.root)
+        return real_hole(model, root_addr, depth_cap)
+
     monkeypatch.setattr(porosity, "_maximal_free", counting)
+    monkeypatch.setattr(porosity, "maximal_hole", counting_holes)
     roots = draw_roots(geom12, SamplerConfig(seed=9, samples=6))
     curve = porosity_curve(hyperplane, roots, DELTAS[1:], 15, 3)
     assert searched == roots
@@ -344,7 +351,11 @@ def test_one_search_per_root(monkeypatch, hyperplane, geom12, unit_root):
     tower_partition(hyperplane, unit_root.address(), DELTAS[1:], 15, 3)
     assert searched == [unit_root]
 
-    # both curves of the harness: theta does not change the plane's holes
+    # both curves of the harness: theta does not change the plane's holes,
+    # and each curve finds one hole per root (the cross check's first hole
+    # is the cross curve's)
     searched.clear()
+    holes.clear()
     characterization_harness(hyperplane, geom12, HarnessConfig(samples=4, depth_cap=2))
     assert len(searched) == 4 and len({id(r) for r in searched}) == 4
+    assert len(holes) == 8 and all(holes.count(r) == 2 for r in searched)

@@ -214,6 +214,48 @@ def test_set_json_roundtrip(name, request):
     assert blob == blob2
 
 
+def test_point_cloud_rejects_non_finite_coordinates():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PointCloud(((0.0, 0.0), (0.5, bad)))
+        with pytest.raises(ValueError, match="finite"):
+            PointCloud(((bad, 0.0),))
+    for text in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="finite"):
+            set_from_json({"type": "points", "coords": [["0", "0"], ["1", text]]})
+
+
+FACES = [-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def clouds_and_boxes(draw):
+    """A cloud on a coarse grid (so times repeat) and a box whose faces are
+    mostly point coordinates, so points sit exactly on its faces."""
+    n = draw(st.sampled_from([0, 1, 2]))
+    size = draw(st.one_of(st.integers(1, 12), st.integers(13, 40)))
+    points = [tuple(draw(st.sampled_from(FACES)) for _ in range(n + 1))
+              for _ in range(size)]
+
+    def face(axis):
+        return draw(st.one_of(st.sampled_from([pt[axis] for pt in points]),
+                              st.sampled_from(FACES)))
+
+    bounds = tuple((face(j), face(j)) for j in range(n))
+    return points, (bounds, (face(n), face(n)))
+
+
+@given(case=clouds_and_boxes())
+@settings(max_examples=400, deadline=None)
+def test_point_cloud_meets_box_matches_brute_force(case):
+    points, box = case
+    bounds, (tlo, thi) = box
+    model = PointCloud(tuple(points))
+    inside = any(tlo <= pt[-1] < thi and all(lo <= x < hi for (lo, hi), x in zip(bounds, pt))
+                 for pt in model.points)
+    assert model.meets_box(box) is (Freeness.NONEMPTY if inside else Freeness.EMPTY)
+
+
 def test_set_json_rejects_unknown_type():
     with pytest.raises(ValueError):
         set_from_json({"type": "blob"})
