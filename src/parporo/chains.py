@@ -38,6 +38,14 @@ class HoleCache:
             self._memo[key] = hit
         return hit
 
+    def hole_of_translate(self, addr: DyadicAddress, theta) -> HoleResult:
+        """The hole of ``addr`` translated by ``theta`` own lengths: integer
+        translations stay in the lattice and are memoized, real ones anchor
+        a fresh lattice through ``porosity.hole_of_translate``."""
+        if float(theta) == int(theta):
+            return self.hole(addr.translated(int(theta)))
+        return hole_of_translate(self.model, addr, theta, self.depth_cap)
+
 
 def theta_grid_for(params: StoppingParams, density: int = 1) -> list[float]:
     """Search translations: the integer sublattice of
@@ -90,10 +98,7 @@ def stopping_time(model: ClosedSetModel, addr: DyadicAddress, Lambda: Fraction,
         current = current.forward_parent(params)
         best: Optional[tuple[Fraction, float]] = None
         for theta in grid:
-            if float(theta) == int(theta):
-                hole = cache.hole(current.translated(int(theta)))
-            else:
-                hole = hole_of_translate(model, current, theta, depth_cap)
+            hole = cache.hole_of_translate(current, theta)
             any_cap_limited |= hole.depth_cap_hit or hole.unknown_present
             if best is None or hole.measure > best[0]:
                 best = (hole.measure, float(theta))
@@ -265,17 +270,12 @@ def doubling_sigma(model: ClosedSetModel, bases: Iterable[DyadicAddress],
     """
     cache = cache or HoleCache(model, depth_cap)
     ratios: list[Fraction] = []
-    psi_int = int(psi) if float(psi) == int(psi) else None
     for base in bases:
         prev = cache.hole(base).measure
         cur = base
         for step in range(base.level):
             cur = cur.forward_parent(params)
-            last = step == base.level - 1
-            if last and psi_int is None:
-                hole = hole_of_translate(model, cur, psi, depth_cap)
-            else:
-                hole = cache.hole(cur.translated(psi_int) if last else cur)
+            hole = cache.hole_of_translate(cur, psi if step == base.level - 1 else 0)
             if prev > 0 and hole.measure > 0:
                 ratios.append(prev / hole.measure)
             prev = hole.measure

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -175,9 +176,17 @@ def _delta_list(cfg: dict, geom: Geometry) -> list[Fraction]:
     return list(default_delta_grid(geom, int(cfg["cap"])))
 
 
+def _finite(cfg: dict, key: str):
+    """The number option ``key``, refused unless finite."""
+    value = parse_number(cfg[key])
+    if not math.isfinite(value):
+        raise CliError(f"--{key} must be a finite number, got {cfg[key]}")
+    return value
+
+
 def _theta_default(cfg: dict, geom: Geometry):
     if cfg.get("theta") is not None:
-        return parse_number(cfg["theta"])
+        return _finite(cfg, "theta")
     return default_parameters(geom).Phi
 
 
@@ -265,11 +274,10 @@ def run(argv=None) -> int:
 
         elif args.command == "a1":
             model, _ = _require_set(args)
-            theta = parse_number(cfg["theta"]) if cfg.get("theta") is not None else 2
-            spec = WeightSpec(beta=float(parse_number(cfg["beta"])), n=geom.n,
-                              p=geom.p)
+            theta = _finite(cfg, "theta") if cfg.get("theta") is not None else 2
+            spec = WeightSpec(beta=float(_finite(cfg, "beta")), n=geom.n, p=geom.p)
             report = a1_scan(model, _scan_roots(geom, cfg), float(theta), spec,
-                             tol=float(parse_number(cfg["tol"])), threads=threads)
+                             tol=float(_finite(cfg, "tol")), threads=threads)
             result = {
                 "beta": number_str(report.beta),
                 "theta": number_str(report.theta),
@@ -405,7 +413,8 @@ def run(argv=None) -> int:
         _emit(report, cfg, args.out, str(cfg.get("format") or "json"), csv_rows)
         return exit_code
 
-    except CliError as exc:
+    except (CliError, ValueError, OverflowError) as exc:
+        # the library's own checks of the inputs raise ValueError or OverflowError
         print(f"parporo: error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,10 +21,11 @@ threshold to certify.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath
 
@@ -475,7 +476,7 @@ class DyadicAddress:
         bases = tuple(s * split for s in self.spatial)
         t_base = self.temporal * k
         out = []
-        for combo in _spatial_offsets(geom.n, split):
+        for combo in itertools.product(range(split), repeat=geom.n):
             spatial = tuple(b + o for b, o in zip(bases, combo))
             for j in range(k):
                 out.append(DyadicAddress(self.root, self.level + 1, spatial, t_base + j))
@@ -580,20 +581,6 @@ class DyadicAddress:
         return f"Addr(level={self.level}, spatial={self.spatial}, temporal={self.temporal})"
 
 
-def _spatial_offsets(n: int, split: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        for i in range(split):
-            yield (i,)
-        return
-    if n == 2:
-        for i in range(split):
-            for j in range(split):
-                yield (i, j)
-        return
-    import itertools
-    yield from itertools.product(range(split), repeat=n)
-
-
 # ---------------------------------------------------------------------------
 # recursion tables and dumps
 # ---------------------------------------------------------------------------
@@ -616,7 +603,7 @@ def chain_gap_bound(geom: Geometry, theta0: int) -> mpmath.mpf:
         return 2 * mpmath.mpf(theta0) * geom.two_dp / (geom.two_dp - 1)
 
 
-def lattice_dump(root: Root, depth: int, temporal_window: Optional[range] = None) -> list[dict]:
+def lattice_dump(root: Root, depth: int) -> list[dict]:
     """JSON-ready listing of every address down to ``depth``.
 
     Spatial bounds and slab offsets are exact fraction strings; absolute
@@ -624,11 +611,10 @@ def lattice_dump(root: Root, depth: int, temporal_window: Optional[range] = None
     """
     from .serialize import fraction_str, number_str
 
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     rows = []
     stack: list[DyadicAddress] = [root.address()]
-    if temporal_window is not None:
-        base = [DyadicAddress(root, 0, (0,) * root.geom.n, t) for t in temporal_window]
-        stack = base
     while stack:
         addr = stack.pop()
         lo, hi = addr.temporal_offsets()

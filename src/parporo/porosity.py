@@ -1,9 +1,11 @@
 """Maximal free dyadic subrectangles, admissible collections, and porosity scans.
 
 Hole measures are exact rationals in units of the lattice root's measure,
-so admissibility thresholds compare exactly.  Searches are breadth first
-with pruning at free rectangles; depth caps always surface in the result
-instead of silently truncating.
+so admissibility thresholds compare exactly.  One kernel, ``_walk``, holds
+the only search loop: breadth first, level by level, with pruning at free
+rectangles.  The maximal hole is the first free cell of the first level
+that has one, and the maximal free collection is every level's free cells.
+Depth caps always surface in the result instead of silently truncating.
 
 One search, level cuts: the maximal free collection of a root depends on
 neither delta nor theta, and cells on one level share a measure, so every
@@ -13,11 +15,9 @@ fixes.  Each root is searched once, as deep as its deepest cut needs.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .geometry import DyadicAddress, Root
 from .intervals import Interval
@@ -57,11 +57,13 @@ class FreeSearch(CollectionReport):
     """Maximal E-free subrectangles of ``base`` down to ``depth`` levels below it.
 
     ``rectangles`` are sorted by (level, temporal, spatial), so a shallower
-    search is a prefix; ``unknown_levels[i]`` records an UNKNOWN verdict
-    ``i`` levels below the base, and ``depth_cap_hit`` that non-free cells
-    remain at the deepest level searched.
+    search is a prefix; ``level_counts[i]`` is the number of members and
+    ``unknown_levels[i]`` whether a verdict was UNKNOWN ``i`` levels below
+    the base, and ``depth_cap_hit`` that non-free cells remain at the
+    deepest level searched.
     """
 
+    level_counts: tuple[int, ...] = ()
     unknown_levels: tuple[bool, ...] = ()
 
     @property
@@ -75,22 +77,22 @@ class FreeSearch(CollectionReport):
         if levels > self.depth and self.depth_cap_hit:
             raise ValueError(f"a search {self.depth} levels deep with non-free cells "
                              f"left cannot be cut {levels} levels deep")
-        stop = bisect_right(self.rectangles, self.base.level + levels,
-                            key=lambda a: a.level)
+        counts = (self.level_counts + (0,) * levels)[:levels + 1]
         flags = (self.unknown_levels + (False,) * levels)[:levels + 1]
-        return _free_search(self.base, self.rectangles[:stop], flags,
+        stop = sum(counts)
+        return _free_search(self.base, self.rectangles[:stop], counts, flags,
                             stop < len(self.rectangles) or self.depth_cap_hit)
 
 
 def _free_search(base: DyadicAddress, rectangles: tuple[DyadicAddress, ...],
-                 unknown_levels: tuple[bool, ...], cap_hit: bool) -> FreeSearch:
-    counts = Counter(a.level for a in rectangles)
-    total = sum((base.root.measure_fraction_at(level) * count
-                 for level, count in counts.items()), Fraction(0))
+                 level_counts: tuple[int, ...], unknown_levels: tuple[bool, ...],
+                 cap_hit: bool) -> FreeSearch:
+    total = sum((base.root.measure_fraction_at(base.level + rel) * count
+                 for rel, count in enumerate(level_counts) if count), Fraction(0))
     return FreeSearch(base=base, rectangles=rectangles, total_measure=total,
                       covered_fraction=total / base.measure_fraction(),
                       depth_cap_hit=cap_hit, unknown_present=any(unknown_levels),
-                      unknown_levels=unknown_levels)
+                      level_counts=level_counts, unknown_levels=unknown_levels)
 
 
 @dataclass(frozen=True)
@@ -112,38 +114,50 @@ def _freeness(model: ClosedSetModel, addr: DyadicAddress) -> Freeness:
     return rectangle_free(model, addr.realize(), addr.root.geom.p)
 
 
-def maximal_hole(model: ClosedSetModel, root_addr: DyadicAddress,
-                 depth_cap: int) -> HoleResult:
-    """Breadth-first search for a free rectangle of maximal spatial side.
-
-    Ties are broken deterministically by (temporal index, spatial indices).
-    Subtrees of free rectangles are pruned; UNKNOWN rectangles are treated
-    as non-free and descended into, which keeps the result a certified
-    lower bound.
-    """
+def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
+          ) -> Iterator[tuple[list[DyadicAddress], bool, list[DyadicAddress]]]:
+    """Per level down to ``depth_cap`` below ``root_addr``: the free cells in
+    (temporal, spatial) order, whether a verdict was UNKNOWN, and the
+    non-free cells, whose children are built only when the next level is
+    asked for.  UNKNOWN cells count as non-free and are descended into."""
     if depth_cap < 0:
         raise ValueError("depth_cap must be nonnegative")
     frontier = [root_addr]
-    unknown_present = False
-    for _rel in range(depth_cap + 1):
-        best: Optional[DyadicAddress] = None
-        nxt: list[DyadicAddress] = []
+    for rel in range(depth_cap + 1):
+        if rel:
+            frontier = [child for addr in frontier for child in addr.children()]
+        free: list[DyadicAddress] = []
+        rest: list[DyadicAddress] = []
+        unknown = False
         for addr in frontier:
             state = _freeness(model, addr)
             if state is Freeness.EMPTY:
-                if best is None or (addr.temporal, addr.spatial) < (best.temporal, best.spatial):
-                    best = addr
+                free.append(addr)
             else:
-                if state is Freeness.UNKNOWN:
-                    unknown_present = True
-                nxt.append(addr)
-        if best is not None:
+                unknown |= state is Freeness.UNKNOWN
+                rest.append(addr)
+        free.sort(key=lambda a: (a.temporal, a.spatial))
+        yield free, unknown, rest
+        frontier = rest
+
+
+def maximal_hole(model: ClosedSetModel, root_addr: DyadicAddress,
+                 depth_cap: int) -> HoleResult:
+    """A free rectangle of maximal spatial side: the first free cell, by
+    (temporal, spatial) index, of the first level of the search that has one.
+
+    UNKNOWN rectangles count as non-free, which keeps the result a certified
+    lower bound; ``unknown_present`` covers the levels down to the hole's.
+    """
+    unknown_present = False
+    for free, unknown, rest in _walk(model, root_addr, depth_cap):
+        unknown_present |= unknown
+        if free:
+            best = free[0]
             return HoleResult(best, best.measure_fraction(), best.l_x(),
                               depth_cap_hit=False, unknown_present=unknown_present)
-        frontier = [child for addr in nxt for child in addr.children()] \
-            if _rel < depth_cap else nxt
     return HoleResult(None, Fraction(0), Fraction(0),
-                      depth_cap_hit=bool(frontier), unknown_present=unknown_present)
+                      depth_cap_hit=bool(rest), unknown_present=unknown_present)
 
 
 def free_collection(model: ClosedSetModel, root_addr: DyadicAddress,
@@ -154,26 +168,15 @@ def free_collection(model: ClosedSetModel, root_addr: DyadicAddress,
 
 def _maximal_free(model: ClosedSetModel, root_addr: DyadicAddress,
                   depth_cap: int) -> FreeSearch:
-    if depth_cap < 0:
-        raise ValueError("depth_cap must be nonnegative")
     members: list[DyadicAddress] = []
+    counts: list[int] = []
     unknown_levels: list[bool] = []
-    frontier = [root_addr]
-    for rel in range(depth_cap + 1):
-        nxt: list[DyadicAddress] = []
-        unknown = False
-        for addr in frontier:
-            state = _freeness(model, addr)
-            if state is Freeness.EMPTY:
-                members.append(addr)
-            else:
-                unknown |= state is Freeness.UNKNOWN
-                nxt.append(addr)
+    for free, unknown, rest in _walk(model, root_addr, depth_cap):
+        members += free
+        counts.append(len(free))
         unknown_levels.append(unknown)
-        if rel < depth_cap:
-            frontier = [child for addr in nxt for child in addr.children()]
-    members.sort(key=lambda a: (a.level, a.temporal, a.spatial))
-    return _free_search(root_addr, tuple(members), tuple(unknown_levels), bool(nxt))
+    return _free_search(root_addr, tuple(members), tuple(counts),
+                        tuple(unknown_levels), bool(rest))
 
 
 def hole_of_translate(model: ClosedSetModel, base: DyadicAddress, theta,

@@ -32,7 +32,7 @@ class WeightSpec:
     p: float
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
         if self.p <= 1:
             raise ValueError("p must exceed 1")
@@ -210,7 +210,7 @@ def integrate_weight(model: ClosedSetModel, rect: ParabolicRectangle,
     stops when the bracket's relative width reaches ``tol`` or the cell
     budget runs out (flagged via ``converged``).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     from .sets import _split_box
 
@@ -343,8 +343,7 @@ def a1_scan(model: ClosedSetModel, roots: Sequence[Root], theta: float,
         "unbounded": r.unbounded,
         "converged": r.converged,
     } for root, r in zip(roots, results))
-    finite = [(i, r) for i, r in enumerate(results)]
-    witness = max(finite, key=lambda e: (e[1].ratio.hi, -e[0]))[0]
+    witness = max(range(len(results)), key=lambda i: (results[i].ratio.hi, -i))
     sup_lo = max(r.ratio.lo for r in results)
     sup_hi = max(r.ratio.hi for r in results)
     return A1ScanReport(

@@ -182,3 +182,27 @@ def test_config_file_defaults(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--config", str(cfg), "maxhole",
                            "--set", HYPERPLANE, "--cap", "1")
     assert report_of(out)["config"]["cap"] == 1
+
+
+@pytest.mark.parametrize("env, argv", [
+    ({}, ["stopping", "--set", HYPERPLANE, "--delta", "2"]),
+    ({}, ["porosity", "--set", HYPERPLANE, "--deltas", "2"]),
+    ({}, ["maxhole", "--set", HYPERPLANE, "--cap", "-1"]),
+    ({}, ["a1", "--set", HYPERPLANE, "--beta", "-1"]),
+    ({}, ["a1", "--set", HYPERPLANE, "--beta", "nan"]),
+    ({}, ["a1", "--set", HYPERPLANE, "--tol", "0"]),
+    ({}, ["a1", "--set", HYPERPLANE, "--tol", "inf"]),
+    ({}, ["tower", "--set", HYPERPLANE, "--deltas", "1/8,1/2"]),
+    ({}, ["characterize", "--set", HYPERPLANE, "--samples", "0"]),
+    ({}, ["porosity", "--set", HYPERPLANE, "--theta", "nan"]),
+    ({}, ["porosity", "--set", HYPERPLANE, "--theta", "inf"]),
+    ({}, ["lattice", "--depth", "-1"]),
+    ({"PARPORO_THREADS": "abc"}, ["maxhole", "--set", HYPERPLANE]),
+])
+def test_input_errors_exit_cleanly(capsys, monkeypatch, env, argv):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("parporo: error:")
+    assert "Traceback" not in err

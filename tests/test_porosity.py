@@ -218,6 +218,82 @@ def test_hole_esssup_covered_rect():
     assert ok and sup.hi == 0.0
 
 
+# ---------------------------------------------------------------------------
+# one search kernel: the hole is the first free level of the free search
+# ---------------------------------------------------------------------------
+
+
+def _hole_of_search(search):
+    """The maximal hole read off a free search: the first member of its
+    first level that has one."""
+    for level, count in enumerate(search.level_counts):
+        if count:
+            best = search.rectangles[0]
+            return HoleResult(best, best.measure_fraction(), best.l_x(),
+                              unknown_present=any(search.unknown_levels[:level + 1]))
+    return HoleResult(None, Fraction(0), Fraction(0), search.depth_cap_hit,
+                      search.unknown_present)
+
+
+# (model, (center, top time) of the unit roots searched, caps); the face of
+# the half space crosses the root with top time 1/3, the Cantor models meet
+# UNKNOWN verdicts below their own caps, and a search past cap 2 costs them
+# minutes without adding a case
+UNIT_ROOTS = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)),
+              (Fraction(0), Fraction(1, 3)))
+KERNEL_CASES = [
+    ("hyperplane", UNIT_ROOTS, range(4)),
+    ("origin_point", UNIT_ROOTS, range(4)),
+    ("coarse_grid", UNIT_ROOTS, range(4)),
+    ("halfspace", UNIT_ROOTS, range(4)),
+    (1, UNIT_ROOTS[1:2], range(3)),
+    (2, UNIT_ROOTS[1:2], range(3)),
+]
+
+
+@pytest.mark.parametrize("model, roots, caps", KERNEL_CASES,
+                         ids=["hyperplane", "point", "grid", "halfspace",
+                              "cantor-cap1", "cantor-cap2"])
+def test_hole_is_first_level_of_free_search(request, geom12, model, roots, caps):
+    cantor = isinstance(model, int)
+    model = cantor_times_time(depth_cap=model) if cantor else request.getfixturevalue(model)
+    seen = []
+    for center, top in roots:
+        base = Root(geom12, (center,), top, Fraction(1), Fraction(0)).address()
+        for cap in caps:
+            hole = maximal_hole(model, base, cap)
+            search = porosity._maximal_free(model, base, cap)
+            assert hole == _hole_of_search(search)
+            seen.append((hole, search))
+    assert any(hole.address is None for hole, _search in seen)
+    assert any(hole.address is not None for hole, _search in seen)
+    if cantor:
+        assert any(search.unknown_present for _hole, search in seen)
+
+
+def test_maximal_hole_stops_at_the_hole_level(monkeypatch, unit_root, hyperplane):
+    tested = []
+    expanded = []
+    real_freeness = porosity._freeness
+    real_children = DyadicAddress.children
+
+    def counting_freeness(model, addr):
+        tested.append(addr.level)
+        return real_freeness(model, addr)
+
+    def counting_children(addr):
+        expanded.append(addr.level)
+        return real_children(addr)
+
+    monkeypatch.setattr(porosity, "_freeness", counting_freeness)
+    monkeypatch.setattr(DyadicAddress, "children", counting_children)
+    hole = maximal_hole(hyperplane, unit_root.address(), 3)
+    assert hole.address.level == 1
+    # the root and its children are tested; no level-1 cell is subdivided
+    assert expanded == [0]
+    assert tested == [0] + [1] * len(real_children(unit_root.address()))
+
+
 def test_hole_of_translate_integer_vs_real(unit_root, hyperplane):
     # time-independent set: holes agree across translations
     a = hole_of_translate(hyperplane, unit_root.address(), 3, 2)
