@@ -1,10 +1,12 @@
 """Closed-set models with parabolic distance oracles and freeness tests.
 
-Every model is a nonempty closed subset of space-time with three queries:
+Every model is a nonempty closed subset of space-time with four queries:
 
 * ``distance(pt, p)``        -- certified bracket on dist_p(pt, E)
 * ``dist_box_range(box, p)`` -- certified brackets on inf/sup of dist_p(., E)
                                 over a box (closure semantics)
+* ``dist_box_gap_span(box, p)`` -- the float pair (inf, an upper bound on
+                                the sup) that the weight integrator reads
 * ``meets_box(box)``         -- does E intersect the half-open box?
 
 The first four variants answer everything exactly; the iterated-function-
@@ -155,11 +157,19 @@ class PointCloud:
 
     def _box_range_single(self, z: Point, box: Box, p: float) -> tuple[float, float]:
         bounds, (tlo, thi) = box
-        *zx, zt = z
-        inf_sp = max((_axis_gap(lo, hi, x) for (lo, hi), x in zip(bounds, zx)),
-                     default=0.0)
-        sup_sp = max((_axis_span(lo, hi, x) for (lo, hi), x in zip(bounds, zx)),
-                     default=0.0)
+        # per-axis maxima of gaps and spans, all >= 0, so starting from 0.0
+        # gives the same floats as ``max(..., default=0.0)``
+        inf_sp = sup_sp = 0.0
+        for (lo, hi), x in zip(bounds, z):
+            gap = lo - x if x < lo else (x - hi if x > hi else 0.0)
+            if gap > inf_sp:
+                inf_sp = gap
+            span = abs(lo - x)
+            if abs(hi - x) > span:
+                span = abs(hi - x)
+            if span > sup_sp:
+                sup_sp = span
+        zt = z[-1]
         inv = 1.0 / p
         return (max(inf_sp, _axis_gap(tlo, thi, zt) ** inv),
                 max(sup_sp, _axis_span(tlo, thi, zt) ** inv))
@@ -292,14 +302,18 @@ class HalfSpaceTime:
         gap = max(0.0, self.t0 - t) if self.future else max(0.0, t - self.t0)
         return Interval.point(gap ** (1.0 / p))
 
-    def dist_box_range(self, box: Box, p: float) -> tuple[Interval, Interval]:
+    def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
         _, (tlo, thi) = box
         inv = 1.0 / p
         if self.future:
             inf_g, sup_g = max(0.0, self.t0 - thi), max(0.0, self.t0 - tlo)
         else:
             inf_g, sup_g = max(0.0, tlo - self.t0), max(0.0, thi - self.t0)
-        return Interval.point(inf_g ** inv), Interval.point(sup_g ** inv)
+        return inf_g ** inv, sup_g ** inv
+
+    def dist_box_range(self, box: Box, p: float) -> tuple[Interval, Interval]:
+        inf, sup = self.dist_box_gap_span(box, p)
+        return Interval.point(inf), Interval.point(sup)
 
     def sup_is_exact(self) -> bool:
         return True
@@ -334,6 +348,11 @@ class SpatialHyperplane:
         lo, hi = bounds[self.axis]
         return (Interval.point(_axis_gap(lo, hi, self.value)),
                 Interval.point(_axis_span(lo, hi, self.value)))
+
+    def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
+        bounds, _ = box
+        lo, hi = bounds[self.axis]
+        return _axis_gap(lo, hi, self.value), _axis_span(lo, hi, self.value)
 
     def sup_is_exact(self) -> bool:
         return True

@@ -7,6 +7,10 @@ upper bound is closed with model-specific formulas (one-dimensional
 antiderivatives for hyperplanes and temporal half spaces, a parabolic-ball
 layer-cake bound for point clouds).  Where no closure exists the result is
 a flagged lower bound, never a silent guess.
+
+Cells travel through the refinement as plain float pairs ``(lo, hi)``
+that every cell bound checks for NaN and order; ``Interval`` objects are
+formed only where the leaves' certified sum is taken.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .geometry import ParabolicRectangle, Root
-from .intervals import Interval, interval_sum
+from .intervals import Interval, _down, _up, interval_sum
 from .sampling import run_indexed
 from .sets import (Box, BoxUnion, ClosedSetModel, HalfSpaceTime, PointCloud,
                    SpatialHyperplane, sup_distance_bracket)
@@ -70,6 +74,16 @@ def _box_measure(box: Box) -> float:
     return m
 
 
+def _finite_box(rect: ParabolicRectangle, p: float) -> Box:
+    """The rectangle's box, refused unless every bound is finite: the
+    distance bounds of sub-boxes assume finite faces."""
+    box = rect.box(p)
+    bounds, (tlo, thi) = box
+    if not all(math.isfinite(v) for pair in (*bounds, (tlo, thi)) for v in pair):
+        raise ValueError("rectangle bounds must be finite")
+    return box
+
+
 def _pow_neg(base: float, q: float) -> float:
     if base == 0.0:
         return math.inf
@@ -82,11 +96,23 @@ def _pow_neg(base: float, q: float) -> float:
 
 
 def _primitive_abs(u: float, q: float) -> float:
-    """Antiderivative of |u|^(-q) through the origin, q < 1."""
-    return math.copysign(abs(u) ** (1.0 - q) / (1.0 - q), u)
+    """Antiderivative ``sign(u) F(|u|)`` of |u|^(-q) on either side of the
+    origin, with ``F(r) = r^(1-q) / (1-q)`` (``log r`` at q = 1); it passes
+    through the origin for q < 1."""
+    r = abs(u)
+    f = math.log(r) if q == 1.0 else r ** (1.0 - q) / (1.0 - q)
+    return math.copysign(1.0, u) * f
 
 
-def _cell_exact_hyperplane(model: SpatialHyperplane, box: Box, q: float) -> Optional[Interval]:
+def _around_product(a: float, b: float) -> tuple[float, float]:
+    """``Interval.around(a) * Interval.around(b)`` as a float pair."""
+    alo, ahi, blo, bhi = _down(a), _up(a), _down(b), _up(b)
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return _down(min(products)), _up(max(products))
+
+
+def _cell_exact_hyperplane(model: SpatialHyperplane, box: Box, q: float
+                           ) -> Optional[tuple[float, float]]:
     bounds, (tlo, thi) = box
     lo, hi = bounds[model.axis]
     touches = lo <= model.value <= hi
@@ -97,15 +123,12 @@ def _cell_exact_hyperplane(model: SpatialHyperplane, box: Box, q: float) -> Opti
         if j != model.axis:
             cross *= bhi - blo
     ulo, uhi = lo - model.value, hi - model.value
-    if q == 1.0:
-        line = math.log(abs(uhi)) - math.log(abs(ulo))
-    else:
-        line = _primitive_abs(uhi, q) - _primitive_abs(ulo, q)
-    return Interval.around(max(line, 0.0)) * Interval.around(cross)
+    line = _primitive_abs(uhi, q) - _primitive_abs(ulo, q)
+    return _around_product(max(line, 0.0), cross)
 
 
 def _cell_exact_halfspace(model: HalfSpaceTime, box: Box, q: float, p: float
-                          ) -> Optional[Interval]:
+                          ) -> Optional[tuple[float, float]]:
     bounds, (tlo, thi) = box
     cross = 1.0
     for lo, hi in bounds:
@@ -123,7 +146,7 @@ def _cell_exact_halfspace(model: HalfSpaceTime, box: Box, q: float, p: float
         line = math.log(gap_hi) - math.log(gap_lo)
     else:
         line = (gap_hi ** (1.0 - s) - gap_lo ** (1.0 - s)) / (1.0 - s)
-    return Interval.around(max(line, 0.0)) * Interval.around(cross)
+    return _around_product(max(line, 0.0), cross)
 
 
 def _pointcloud_singular_upper(model: PointCloud, box: Box, q: float, p: float,
@@ -153,47 +176,53 @@ def _pointcloud_singular_upper(model: PointCloud, box: Box, q: float, p: float,
     return near_total + far_part
 
 
-@dataclass(frozen=True)
-class _Cell:
-    box: Box
-    bracket: Interval
-    diverged: bool
-    lower_only: bool
+def _bound_cell(model: ClosedSetModel, box: Box, spec: WeightSpec
+                ) -> tuple[float, float, bool, bool]:
+    """``(lo, hi, diverged, lower_only)`` for the integral over one cell.
 
-
-def _bound_cell(model: ClosedSetModel, box: Box, spec: WeightSpec) -> _Cell:
+    Raises ``ValueError`` on a NaN endpoint or ``lo > hi``, as an
+    ``Interval`` would.
+    """
     q = spec.q
     p = spec.p
+    diverged = lower_only = False
     if isinstance(model, SpatialHyperplane):
         exact = _cell_exact_hyperplane(model, box, q)
         if exact is not None:
-            return _Cell(box, exact, diverged=False, lower_only=False)
-        inf_iv, sup_iv = model.dist_box_range(box, p)
-        lo = _box_measure(box) * _pow_neg(sup_iv.hi, q)
-        return _Cell(box, Interval(lo, math.inf), diverged=True, lower_only=False)
-    if isinstance(model, HalfSpaceTime):
+            lo, hi = exact
+        else:
+            _, sup_hi = model.dist_box_gap_span(box, p)
+            lo, hi, diverged = _box_measure(box) * _pow_neg(sup_hi, q), math.inf, True
+    elif isinstance(model, HalfSpaceTime):
         exact = _cell_exact_halfspace(model, box, q, p)
         if exact is not None:
-            return _Cell(box, exact, diverged=False, lower_only=False)
-        # straddling or inside the half space, or a non-integrable face
-        # singularity: the integral is genuinely infinite
-        return _Cell(box, Interval(0.0, math.inf), diverged=True, lower_only=False)
-
-    inf_lo, sup_hi = model.dist_box_gap_span(box, p)
-    measure = _box_measure(box)
-    lo = measure * _pow_neg(sup_hi, q) if sup_hi > 0 else 0.0
-    if inf_lo > 0.0:
-        hi = measure * _pow_neg(inf_lo, q)
-        return _Cell(box, Interval(lo, hi), diverged=False, lower_only=False)
-    # cell touches E
-    if isinstance(model, PointCloud):
-        hi = _pointcloud_singular_upper(model, box, q, p, spec.n)
-        if hi is not None:
-            return _Cell(box, Interval(min(lo, hi), hi), diverged=False, lower_only=False)
-        return _Cell(box, Interval(lo, math.inf), diverged=True, lower_only=False)
-    if isinstance(model, BoxUnion) and not model.is_null:
-        return _Cell(box, Interval(lo, math.inf), diverged=True, lower_only=False)
-    return _Cell(box, Interval(lo, math.inf), diverged=False, lower_only=True)
+            lo, hi = exact
+        else:
+            # straddling or inside the half space, or a non-integrable face
+            # singularity: the integral is genuinely infinite
+            lo, hi, diverged = 0.0, math.inf, True
+    else:
+        inf_lo, sup_hi = model.dist_box_gap_span(box, p)
+        measure = _box_measure(box)
+        lo = measure * _pow_neg(sup_hi, q) if sup_hi > 0 else 0.0
+        if inf_lo > 0.0:
+            hi = measure * _pow_neg(inf_lo, q)
+        elif isinstance(model, PointCloud):
+            # cell touches E
+            hi = _pointcloud_singular_upper(model, box, q, p, spec.n)
+            if hi is None:
+                hi, diverged = math.inf, True
+            else:
+                lo = min(lo, hi)
+        else:
+            hi = math.inf
+            diverged = isinstance(model, BoxUnion) and not model.is_null
+            lower_only = not diverged
+    if not lo <= hi:
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError("interval endpoints must not be NaN")
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    return lo, hi, diverged, lower_only
 
 
 # ---------------------------------------------------------------------------
@@ -208,52 +237,54 @@ def integrate_weight(model: ClosedSetModel, rect: ParabolicRectangle,
 
     Widest-contribution-first refinement with a deterministic tie order;
     stops when the bracket's relative width reaches ``tol`` or the cell
-    budget runs out (flagged via ``converged``).
+    budget runs out (flagged via ``converged``).  Cells are bounded by
+    ``_bound_cell`` and kept as float pairs: the heap holds
+    ``(-width, counter, box, lo, hi)`` and settled cells ``(box, lo, hi)``;
+    the leaves become ``Interval``s only for their certified sum.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     from .sets import _split_box
 
-    box = rect.box(spec.p)
-    heap: list[tuple[float, int, _Cell]] = []
+    p = spec.p
+    heap: list[tuple[float, int, Box, float, float]] = []
+    settled: list[tuple[Box, float, float]] = []
     counter = 0
     diverged = False
     lower_only = False
-    settled: list[_Cell] = []
     # running endpoint sums steer the refinement; the certified bracket is
     # re-summed once at the end in a worker-independent order
     run_lo = 0.0
     run_hi = 0.0
-
-    def push(cell: _Cell):
-        nonlocal counter, diverged, lower_only, run_lo, run_hi
-        diverged |= cell.diverged
-        lower_only |= cell.lower_only
-        run_lo += cell.bracket.lo
-        run_hi += cell.bracket.hi
-        width = cell.bracket.width
-        if cell.diverged or cell.lower_only or not math.isfinite(width) or width <= 0:
-            settled.append(cell)
-        else:
-            heapq.heappush(heap, (-width, counter, cell))
-        counter += 1
-
-    push(_bound_cell(model, box, spec))
+    pending = [_finite_box(rect, p)]
     processed = 0
-    while heap and processed < max_cells:
+    while True:
+        for box in pending:
+            lo, hi, cell_diverged, cell_lower_only = _bound_cell(model, box, spec)
+            diverged |= cell_diverged
+            lower_only |= cell_lower_only
+            run_lo += lo
+            run_hi += hi
+            width = hi - lo
+            if cell_diverged or cell_lower_only or not math.isfinite(width) or width <= 0:
+                settled.append((box, lo, hi))
+            else:
+                heapq.heappush(heap, (-width, counter, box, lo, hi))
+            counter += 1
+        if not heap or processed >= max_cells:
+            break
         scale = max(abs(run_lo + run_hi) * 0.5, 1e-300)
         if math.isfinite(run_hi) and run_hi - run_lo <= 0.9 * tol * scale:
             break
-        _, _, cell = heapq.heappop(heap)
-        run_lo -= cell.bracket.lo
-        run_hi -= cell.bracket.hi
-        for half in _split_box(cell.box, spec.p):
-            push(_bound_cell(model, half, spec))
+        _, _, box, lo, hi = heapq.heappop(heap)
+        run_lo -= lo
+        run_hi -= hi
+        pending = _split_box(box, p)
         processed += 1
 
-    leaves = settled + [c for _, _, c in heap]
-    leaves.sort(key=lambda c: (c.box[1][0], c.box[0]))
-    total = interval_sum([c.bracket for c in leaves])
+    leaves = settled + [(box, lo, hi) for _, _, box, lo, hi in heap]
+    leaves.sort(key=lambda leaf: (leaf[0][1][0], leaf[0][0]))
+    total = interval_sum([Interval(lo, hi) for _, lo, hi in leaves])
     scale = max(abs(total.mid), 1e-300)
     converged = math.isfinite(total.hi) and total.width <= tol * scale
     return IntegrationResult(value=total, converged=converged,
@@ -279,7 +310,7 @@ def essinf_weight(model: ClosedSetModel, rect: ParabolicRectangle,
 
     The distance function is continuous, so sup and essential sup agree.
     """
-    sup, converged = sup_distance_bracket(model, rect.box(spec.p), spec.p,
+    sup, converged = sup_distance_bracket(model, _finite_box(rect, spec.p), spec.p,
                                           tol=tol, max_cells=max_cells)
     if sup.hi == 0.0:
         return Interval(math.inf, math.inf), converged

@@ -5,8 +5,17 @@ every address level by level and re-derive maximality directly from the
 definitions.
 """
 
+import heapq
+import math
+from dataclasses import dataclass
+
 from parporo.geometry import ParabolicRectangle
-from parporo.sets import Freeness, rectangle_free
+from parporo.intervals import Interval, interval_sum
+from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, PointCloud,
+                          SpatialHyperplane, _axis_gap, _axis_span, _split_box,
+                          rectangle_free)
+from parporo.weights import (IntegrationResult, _box_measure, _pow_neg,
+                             _pointcloud_singular_upper, _primitive_abs)
 
 
 def exact_realize(addr):
@@ -87,3 +96,141 @@ def halton_array(count: int, base: int):
         out += f * (idx % base)
         idx //= base
     return out
+
+
+# ---------------------------------------------------------------------------
+# weight integrator: one frozen cell and one Interval per bound cell
+# ---------------------------------------------------------------------------
+
+
+def _reference_gap_span(model, box, p):
+    """``PointCloud.dist_box_gap_span`` with per-point generator maxima for
+    small clouds; large clouds go through the model's numpy arrays."""
+    if len(model.points) > 12:
+        gaps, spans = model._gap_span_arrays(box, p)
+        return float(min(gaps)), float(min(spans))
+    bounds, (tlo, thi) = box
+    inv = 1.0 / p
+    gaps, spans = [], []
+    for *zx, zt in model.points:
+        inf_sp = max((_axis_gap(lo, hi, x) for (lo, hi), x in zip(bounds, zx)),
+                     default=0.0)
+        sup_sp = max((_axis_span(lo, hi, x) for (lo, hi), x in zip(bounds, zx)),
+                     default=0.0)
+        gaps.append(max(inf_sp, _axis_gap(tlo, thi, zt) ** inv))
+        spans.append(max(sup_sp, _axis_span(tlo, thi, zt) ** inv))
+    return float(min(gaps)), float(min(spans))
+
+
+def _reference_hyperplane(model, box, q):
+    bounds, (tlo, thi) = box
+    lo, hi = bounds[model.axis]
+    if q >= 1.0 and lo <= model.value <= hi:
+        return None
+    cross = thi - tlo
+    for j, (blo, bhi) in enumerate(bounds):
+        if j != model.axis:
+            cross *= bhi - blo
+    line = _primitive_abs(hi - model.value, q) - _primitive_abs(lo - model.value, q)
+    return Interval.around(max(line, 0.0)) * Interval.around(cross)
+
+
+def _reference_halfspace(model, box, q, p):
+    bounds, (tlo, thi) = box
+    cross = 1.0
+    for lo, hi in bounds:
+        cross *= hi - lo
+    s = q / p
+    gap_lo = (model.t0 - thi) if model.future else (tlo - model.t0)
+    gap_hi = (model.t0 - tlo) if model.future else (thi - model.t0)
+    if gap_hi <= 0 or gap_lo < 0 or (gap_lo == 0.0 and s >= 1.0):
+        return None
+    if s == 1.0:
+        line = math.log(gap_hi) - math.log(gap_lo)
+    else:
+        line = (gap_hi ** (1.0 - s) - gap_lo ** (1.0 - s)) / (1.0 - s)
+    return Interval.around(max(line, 0.0)) * Interval.around(cross)
+
+
+@dataclass(frozen=True)
+class _Cell:
+    box: tuple
+    bracket: Interval
+    diverged: bool
+    lower_only: bool
+
+
+def _reference_cell(model, box, spec):
+    q, p = spec.q, spec.p
+    if isinstance(model, SpatialHyperplane):
+        exact = _reference_hyperplane(model, box, q)
+        if exact is not None:
+            return _Cell(box, exact, False, False)
+        _, sup_iv = model.dist_box_range(box, p)
+        lo = _box_measure(box) * _pow_neg(sup_iv.hi, q)
+        return _Cell(box, Interval(lo, math.inf), True, False)
+    if isinstance(model, HalfSpaceTime):
+        exact = _reference_halfspace(model, box, q, p)
+        if exact is not None:
+            return _Cell(box, exact, False, False)
+        return _Cell(box, Interval(0.0, math.inf), True, False)
+    if isinstance(model, PointCloud):
+        inf_lo, sup_hi = _reference_gap_span(model, box, p)
+    else:
+        inf_lo, sup_hi = model.dist_box_gap_span(box, p)
+    measure = _box_measure(box)
+    lo = measure * _pow_neg(sup_hi, q) if sup_hi > 0 else 0.0
+    if inf_lo > 0.0:
+        return _Cell(box, Interval(lo, measure * _pow_neg(inf_lo, q)), False, False)
+    if isinstance(model, PointCloud):
+        hi = _pointcloud_singular_upper(model, box, q, p, spec.n)
+        if hi is not None:
+            return _Cell(box, Interval(min(lo, hi), hi), False, False)
+        return _Cell(box, Interval(lo, math.inf), True, False)
+    if isinstance(model, BoxUnion) and not model.is_null:
+        return _Cell(box, Interval(lo, math.inf), True, False)
+    return _Cell(box, Interval(lo, math.inf), False, True)
+
+
+def reference_integrate(model, rect, spec, tol=1e-6, max_cells=40000):
+    """``weights.integrate_weight`` with a frozen ``_Cell`` and an
+    ``Interval`` per bound cell: the same refinement, tie order and leaf
+    order, so its result must agree bit for bit."""
+    heap, settled = [], []
+    counter = 0
+    diverged = lower_only = False
+    run_lo = run_hi = 0.0
+
+    def push(cell):
+        nonlocal counter, diverged, lower_only, run_lo, run_hi
+        diverged |= cell.diverged
+        lower_only |= cell.lower_only
+        run_lo += cell.bracket.lo
+        run_hi += cell.bracket.hi
+        width = cell.bracket.width
+        if cell.diverged or cell.lower_only or not math.isfinite(width) or width <= 0:
+            settled.append(cell)
+        else:
+            heapq.heappush(heap, (-width, counter, cell))
+        counter += 1
+
+    push(_reference_cell(model, rect.box(spec.p), spec))
+    processed = 0
+    while heap and processed < max_cells:
+        scale = max(abs(run_lo + run_hi) * 0.5, 1e-300)
+        if math.isfinite(run_hi) and run_hi - run_lo <= 0.9 * tol * scale:
+            break
+        _, _, cell = heapq.heappop(heap)
+        run_lo -= cell.bracket.lo
+        run_hi -= cell.bracket.hi
+        for half in _split_box(cell.box, spec.p):
+            push(_reference_cell(model, half, spec))
+        processed += 1
+
+    leaves = settled + [c for _, _, c in heap]
+    leaves.sort(key=lambda c: (c.box[1][0], c.box[0]))
+    total = interval_sum([c.bracket for c in leaves])
+    scale = max(abs(total.mid), 1e-300)
+    converged = math.isfinite(total.hi) and total.width <= tol * scale
+    return IntegrationResult(value=total, converged=converged, diverged=diverged,
+                             lower_only=lower_only, cells=len(leaves))

@@ -259,3 +259,28 @@ def test_point_cloud_meets_box_matches_brute_force(case):
 def test_set_json_rejects_unknown_type():
     with pytest.raises(ValueError):
         set_from_json({"type": "blob"})
+
+
+def test_gap_span_is_the_outer_endpoints_of_the_range():
+    # one model protocol: every model's (inf, sup upper bound) float pair
+    # equals the outer endpoints of its certified brackets
+    rng = random.Random(5)
+    models = [
+        single_point(1, at=(0.25, -0.5)),
+        PointCloud(((0.1, -0.3), (-0.2, -0.6), (0.4, -0.1))),
+        integer_grid(1, spatial_extent=2, time_depth=3, spacing=0.5),
+        BoxUnion((((( -0.5, 0.25),), (-1.0, -0.25)), (((0.5, 0.5),), (-2.0, 0.0)))),
+        HalfSpaceTime(-0.5, future=True),
+        HalfSpaceTime(-0.5, future=False),
+        SpatialHyperplane(0, 0.125),
+        cantor_times_time(2.0, depth_cap=6),
+    ]
+    assert len(models[2].points) > 12  # the numpy path
+    for model in models:
+        for _ in range(40):
+            p = rng.choice((2.0, 1.5))
+            xlo, tlo = rng.uniform(-2, 2), rng.uniform(-2, 1)
+            box = (((xlo, xlo + rng.choice((0.25, 1.0))),),
+                   (tlo, tlo + rng.choice((0.0625, 1.0))))
+            inf_iv, sup_iv = model.dist_box_range(box, p)
+            assert model.dist_box_gap_span(box, p) == (inf_iv.lo, sup_iv.hi), (model, box)

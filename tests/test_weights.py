@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parporo import weights
 from parporo.geometry import ParabolicRectangle, Root, new_geometry, translate
 from parporo.sampling import SamplerConfig, draw_roots
 from parporo.sets import (BoxUnion, HalfSpaceTime, PointCloud, SpatialHyperplane,
                           single_point)
-from oracles import halton_array
+from oracles import halton_array, reference_integrate
 from parporo.weights import (WeightSpec, a1_ratio, a1_scan, annular_constant,
                              average_weight, essinf_weight, integrate_weight)
 
@@ -190,3 +193,127 @@ def test_a1_scan_flags_divergence(geom12, hyperplane):
     rep = a1_scan(hyperplane, draw_roots(geom12, SamplerConfig(seed=5, samples=8)),
                   2.0, hot, tol=1e-2)
     assert rep.any_unbounded  # some sampled rectangle crosses the plane
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+def test_hyperplane_closed_form_is_mirror_symmetric(q):
+    # the plane x = 0 is a mirror for the weight, on either side of it
+    plane = SpatialHyperplane(0, 0.0)
+    spec = WeightSpec(beta=q / 3, n=1, p=2.0)
+    for x in (0.75, 3.0):
+        right = integrate_weight(plane, ParabolicRectangle((x,), 0.0, 1.0), spec)
+        left = integrate_weight(plane, ParabolicRectangle((-x,), 0.0, 1.0), spec)
+        assert right.converged and left.converged
+        assert left.value == right.value
+        assert left.value.lo > 0.0
+
+
+def test_hyperplane_log_closed_form_left_of_the_plane(geom12):
+    # q = 1: the cell [-3.5, -2.5] x [-1, 0) carries ln(3.5 / 2.5) * 1
+    root = Root(geom12, (Fraction(-3),), Fraction(0), Fraction(1))
+    res = integrate_weight(SpatialHyperplane(0, 0.0), root.rectangle(),
+                           WeightSpec(beta=1 / 3, n=1, p=2.0))
+    assert res.converged and not res.diverged
+    assert res.value.lo <= math.log(3.5 / 2.5) * 1.0 <= res.value.hi
+
+
+@pytest.mark.parametrize("x", [-0.75, 0.75])
+def test_hyperplane_closed_form_above_q_one(x):
+    # q = 3/2 off the plane: |u| runs over [1/4, 5/4], the integral of
+    # |u|^(-3/2) there is 2 (4^(1/2) - (4/5)^(1/2)), times a unit time length
+    res = integrate_weight(SpatialHyperplane(0, 0.0), ParabolicRectangle((x,), 0.0, 1.0),
+                           WeightSpec(beta=0.5, n=1, p=2.0))
+    assert res.converged and not res.diverged
+    assert res.value.lo <= 2.0 * (2.0 - math.sqrt(0.8)) <= res.value.hi
+
+
+COORDS = st.integers(-8, 8).map(lambda k: k / 4)
+KINDS = ("point", "cloud3", "cloud20", "hyperplane", "past", "future",
+         "boxes-null", "boxes")
+
+
+@st.composite
+def weight_cases(draw):
+    n = draw(st.sampled_from((1, 2)))
+    p = draw(st.sampled_from((2.0, 1.5)))
+    kind = draw(st.sampled_from(KINDS))
+
+    def point():
+        return tuple(draw(COORDS) for _ in range(n + 1))
+
+    def box(null):
+        lo = [draw(COORDS) for _ in range(n + 1)]
+        ext = [draw(st.integers(1, 6)) / 4 for _ in range(n + 1)]
+        if null:
+            ext[draw(st.integers(0, n))] = 0.0
+        return (tuple((a, a + e) for a, e in zip(lo[:-1], ext[:-1])),
+                (lo[-1], lo[-1] + ext[-1]))
+
+    if kind in ("point", "cloud3", "cloud20"):
+        model = PointCloud(tuple(point() for _ in range({"point": 1, "cloud3": 3,
+                                                         "cloud20": 20}[kind])))
+    elif kind == "hyperplane":
+        model = SpatialHyperplane(draw(st.integers(0, n - 1)), draw(COORDS))
+    elif kind in ("past", "future"):
+        model = HalfSpaceTime(draw(COORDS), future=kind == "future")
+    else:
+        model = BoxUnion(tuple(box(kind == "boxes-null")
+                               for _ in range(draw(st.integers(1, 3)))))
+    rect = ParabolicRectangle(center=tuple(draw(COORDS) for _ in range(n)),
+                              top_time=draw(COORDS),
+                              side=draw(st.sampled_from((0.5, 1.0, 2.0))),
+                              gamma=draw(st.sampled_from((0.0, 0.25))))
+    q = draw(st.sampled_from((0.3, 0.75, 1.0, 1.4, 2.5)))
+    spec = WeightSpec(beta=q / (n + p), n=n, p=p)
+    tol = draw(st.sampled_from((1e-1, 1e-2, 1e-3)))
+    return model, rect, spec, tol, draw(st.integers(0, 60))
+
+
+@given(case=weight_cases())
+@settings(max_examples=300, deadline=None)
+def test_integrator_matches_reference_bit_for_bit(case):
+    model, rect, spec, tol, max_cells = case
+    got = integrate_weight(model, rect, spec, tol=tol, max_cells=max_cells)
+    want = reference_integrate(model, rect, spec, tol=tol, max_cells=max_cells)
+    assert got.value.lo.hex() == want.value.lo.hex()
+    assert got.value.hi.hex() == want.value.hi.hex()
+    assert (got.cells, got.converged, got.diverged, got.lower_only) == \
+        (want.cells, want.converged, want.diverged, want.lower_only)
+
+
+def test_bound_cell_is_called_through_the_module_global(monkeypatch):
+    # the benchmark's tracer wraps weights._bound_cell by name: every bound
+    # cell must reach it, the root once and each split cell's two halves
+    inner = weights._bound_cell
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(weights, "_bound_cell", counting)
+    cloud = PointCloud(((0.1, -0.3), (-0.2, -0.6), (0.4, -0.1)))
+    res = integrate_weight(cloud, unit_rect(), SPEC, tol=1e-3, max_cells=500)
+    assert res.cells > 1
+    assert calls == 2 * res.cells - 1
+
+
+def test_bound_cell_rejects_nan_and_empty_brackets():
+    far = single_point(1, at=(5.0, 0.0))
+    with pytest.raises(ValueError, match="NaN"):
+        weights._bound_cell(far, (((math.nan, 1.0),), (-1.0, 0.0)), SPEC)
+    # a reversed time face makes the measure negative, so lo > hi
+    with pytest.raises(ValueError, match="empty interval"):
+        weights._bound_cell(far, (((0.0, 1.0),), (0.0, -1.0)), SPEC)
+
+
+@pytest.mark.parametrize("center,top", [((math.nan,), 0.0), ((math.nan,), math.nan),
+                                        ((0.0,), math.nan), ((math.inf,), 0.0)])
+def test_weights_refuse_non_finite_rectangles(center, top):
+    rect = ParabolicRectangle(center, top, 1.0)
+    for model in (single_point(1, at=(5.0, 0.0)), SpatialHyperplane(0, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_weight(model, rect, SPEC)
+        with pytest.raises(ValueError, match="finite"):
+            essinf_weight(model, rect, SPEC)
