@@ -47,14 +47,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_set(raw: str):
-    text = raw
     path = Path(raw)
     try:
-        if path.exists():
-            text = path.read_text(encoding="utf-8")
-        obj = json.loads(text)
-        return set_from_json(obj)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        is_file = path.is_file()
+    except (OSError, ValueError):  # inline JSON longer than a file name may be
+        is_file = False
+    try:
+        text = path.read_text(encoding="utf-8") if is_file else raw
+        return set_from_json(json.loads(text))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"invalid set definition: {exc}") from exc
 
 

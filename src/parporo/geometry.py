@@ -252,10 +252,6 @@ class ParabolicRectangle:
                 return False
         return self.t_lo(p) <= t < self.t_hi(p)
 
-    def parabolic_radius(self, p: float) -> float:
-        """Max parabolic distance from the center to a point of the closure."""
-        return max(0.5 * self.side, (0.5 * self.l_t(p)) ** (1.0 / p))
-
     def diam_p(self, p: float) -> float:
         return max(self.side, self.l_t(p) ** (1.0 / p))
 

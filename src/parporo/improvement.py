@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import Geometry, Root, default_parameters
-from .porosity import (CollectionReport, admissible_cut, hole_of_translate,
-                       porosity_curve, search_for_cuts)
+from .porosity import (CollectionReport, PorosityReport, admissible_cut,
+                       hole_of_translate, porosity_curve, search_for_cuts)
 from .sampling import SamplerConfig, draw_roots
 from .sets import ClosedSetModel
 from .weights import A1ScanReport, WeightSpec, a1_scan
@@ -92,10 +92,14 @@ class AlphaFit:
     points: tuple[tuple[float, float], ...]
 
 
-def alpha_fit(points: Sequence[tuple], defect_floor: float = 1e-12) -> AlphaFit:
+# zero defects are clamped to this floor in the exponent fit
+_DEFECT_FLOOR = 1e-12
+
+
+def alpha_fit(points: Sequence[tuple]) -> AlphaFit:
     """Least squares ``log(1-c) = log K + alpha log delta``.
 
-    Zero defects (fully covered samples) are clamped to ``defect_floor``
+    Zero defects (fully covered samples) are clamped to ``_DEFECT_FLOOR``
     and counted rather than dropped.
     """
     if len(points) < 3:
@@ -109,7 +113,7 @@ def alpha_fit(points: Sequence[tuple], defect_floor: float = 1e-12) -> AlphaFit:
         if not 0 < d < 1:
             raise ValueError(f"delta {d} outside (0, 1)")
         if v <= 0:
-            v = defect_floor
+            v = _DEFECT_FLOOR
             floored += 1
         if v >= 1:
             v = 1.0 - 1e-15
@@ -137,22 +141,21 @@ def alpha_fit(points: Sequence[tuple], defect_floor: float = 1e-12) -> AlphaFit:
 # ---------------------------------------------------------------------------
 
 
+_CROSS_THETA = 2.0    # the second translation of the cross check
+_MIN_R2 = 0.9         # fit quality a consistent verdict needs
+_AGREEMENT = 0.25     # tolerated |c1 - c2| in the cross check
+_BETA_HEADROOM = 0.9  # beta capped at headroom / (n+p)
+
+
 @dataclass(frozen=True)
 class HarnessConfig:
     seed: int = 0
     samples: int = 12
     depth_cap: int = 4
-    delta_grid: Optional[tuple[Fraction, ...]] = None
-    cross_theta: float = 2.0
-    min_r2: float = 0.9
-    agreement: float = 0.25           # tolerated |c1 - c2| in the cross check
-    beta_headroom: float = 0.9        # beta capped at headroom / (n+p)
     a1_samples: int = 8
     a1_tol: float = 5e-2
     a1_max_cells: int = 8000
-    defect_floor: float = 1e-12
     threads: int = 1
-    include_unit_root: bool = True    # always scan the canonical unit root
 
 
 def default_delta_grid(geom: Geometry, depth_cap: int) -> tuple[Fraction, ...]:
@@ -172,15 +175,13 @@ def characterization_harness(model: ClosedSetModel, geom: Geometry,
     from .serialize import interval_json, number_str
 
     params = default_parameters(geom)
-    deltas = tuple(config.delta_grid) if config.delta_grid is not None \
-        else default_delta_grid(geom, config.depth_cap)
+    deltas = default_delta_grid(geom, config.depth_cap)
     sampler = SamplerConfig(seed=config.seed, samples=config.samples)
     roots = draw_roots(geom, sampler)
-    if config.include_unit_root:
-        # the randomized scan may overestimate the covered fraction; the
-        # canonical unit root keeps an auditable witness in every report
-        roots = [Root(geom, (Fraction(0),) * geom.n, Fraction(0), Fraction(1),
-                      Fraction(0))] + roots[:max(0, config.samples - 1)]
+    # the randomized scan may overestimate the covered fraction; the
+    # canonical unit root keeps an auditable witness in every report
+    roots = [Root(geom, (Fraction(0),) * geom.n, Fraction(0), Fraction(1),
+                  Fraction(0))] + roots[:max(0, config.samples - 1)]
 
     starved: list[str] = []
 
@@ -192,11 +193,11 @@ def characterization_harness(model: ClosedSetModel, geom: Geometry,
     points = [(float(rep.delta), float(1 - rep.empirical_c)) for rep in curve]
 
     # stage 2: exponent fit
-    fit = alpha_fit(points, defect_floor=config.defect_floor)
+    fit = alpha_fit(points)
 
     # stage 3: ratio scan at beta below the fitted exponent
     beta = min(fit.alpha_hat / 2 if fit.alpha_hat > 0 else 0.0,
-               config.beta_headroom / (geom.n + geom.p))
+               _BETA_HEADROOM / (geom.n + geom.p))
     a1_report: Optional[A1ScanReport] = None
     if beta > 0:
         spec = WeightSpec(beta=beta, n=geom.n, p=geom.p)
@@ -208,16 +209,14 @@ def characterization_harness(model: ClosedSetModel, geom: Geometry,
             starved.append("a1")
 
     # stage 4: cross-translation consistency after threshold recalibration
-    cross = _cross_theta_check(model, roots, deltas, params.Phi,
-                               config.cross_theta, config.depth_cap,
-                               config.agreement, threads=config.threads,
-                               main=curve)
+    cross = _cross_theta_check(model, roots, deltas, params.Phi, config.depth_cap,
+                               curve, threads=config.threads)
     if cross.get("starved"):
         starved.append("cross_theta")
 
     finite_a1 = a1_report is not None and math.isfinite(a1_report.sup_ratio.hi) \
         and not a1_report.any_unbounded
-    consistent = (fit.alpha_hat > 0 and fit.r_squared >= config.min_r2
+    consistent = (fit.alpha_hat > 0 and fit.r_squared >= _MIN_R2
                   and finite_a1 and cross["agrees"])
     if starved:
         verdict = "inconclusive"
@@ -245,29 +244,26 @@ def characterization_harness(model: ClosedSetModel, geom: Geometry,
             "depth_cap": config.depth_cap,
             "deltas": [number_str(d) for d in deltas],
             "theta_main": number_str(params.Phi),
-            "theta_cross": number_str(config.cross_theta),
+            "theta_cross": number_str(_CROSS_THETA),
         },
     }
 
 
 def _cross_theta_check(model: ClosedSetModel, roots: Sequence[Root],
-                       deltas: Sequence[Fraction], theta_main, theta_cross,
-                       depth_cap: int, agreement: float, threads: int = 1,
-                       main=None) -> dict:
-    """Compare defect curves at two translations after rescaling deltas by
-    the ratio of the witnessed hole measures.  The cross curve cuts the
-    main curve's searches and reuses the first root's cross hole; a root is
-    searched again only when a cut lies deeper than a search that stopped
-    above the cap with non-free cells left.
+                       deltas: Sequence[Fraction], theta_main, depth_cap: int,
+                       main: Sequence[PorosityReport], threads: int = 1) -> dict:
+    """Compare the main defect curve ``main`` (at ``theta_main``) with the
+    curve at ``_CROSS_THETA`` after rescaling deltas by the ratio of the
+    witnessed hole measures.  The cross curve cuts the main curve's
+    searches and reuses the first root's cross hole; a root is searched
+    again only when a cut lies deeper than a search that stopped above the
+    cap with non-free cells left.
     """
     from .serialize import number_str
 
-    if main is None:
-        main = porosity_curve(model, roots, deltas, theta_main, depth_cap,
-                              threads=threads)
     holes_main = [s["hole"] for s in main[0].samples]
     base = roots[0]
-    hole_cross = hole_of_translate(model, base.address(), theta_cross, depth_cap)
+    hole_cross = hole_of_translate(model, base.address(), _CROSS_THETA, depth_cap)
     hole_main = holes_main[0]
     if hole_main == 0 or hole_cross.measure == 0:
         factor = Fraction(1)
@@ -279,15 +275,15 @@ def _cross_theta_check(model: ClosedSetModel, roots: Sequence[Root],
         if d2 >= 1:
             d2 = Fraction(1, 2) + d2 / (2 * (1 + d2))  # clamp into (0, 1)
         rescaled.append(d2)
-    cross = porosity_curve(model, roots, rescaled, theta_cross, depth_cap,
+    cross = porosity_curve(model, roots, rescaled, _CROSS_THETA, depth_cap,
                            threads=threads, searches=main[0].searches,
                            holes=[hole_cross] + [None] * (len(roots) - 1))
     diffs = [abs(float(a.empirical_c) - float(b.empirical_c))
              for a, b in zip(main, cross)]
-    agrees = all(d <= agreement for d in diffs)
+    agrees = all(d <= _AGREEMENT for d in diffs)
     return {
         "theta_main": number_str(theta_main),
-        "theta_cross": number_str(theta_cross),
+        "theta_cross": number_str(_CROSS_THETA),
         "recalibration": number_str(factor),
         "max_c_gap": number_str(max(diffs) if diffs else 0.0),
         "agrees": agrees,

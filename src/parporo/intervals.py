@@ -81,12 +81,6 @@ class Interval:
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-    def strictly_positive(self) -> bool:
-        return self.lo > 0.0
-
     # -- arithmetic (outward rounded) ---------------------------------------
 
     def __add__(self, other: "Interval | float") -> "Interval":
@@ -149,11 +143,6 @@ class Interval:
 
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
-
-    def widened(self, pad: float) -> "Interval":
-        if pad < 0:
-            raise ValueError("pad must be nonnegative")
-        return Interval(_down(self.lo - pad), _up(self.hi + pad))
 
     def __str__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"

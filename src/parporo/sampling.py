@@ -8,46 +8,40 @@ makes every scan reproducible regardless of worker count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .geometry import Geometry, Root
 
-DEFAULT_GAMMA0 = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
+# centers and top times lie on the grid Z / _CENTER_GRID within [-2, 2]
+_CENTER_GRID = 16
+_SIDES = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+_GAMMA0S = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Ranges for randomized root rectangles."""
+    """Seed and count of randomized root rectangles."""
 
     seed: int = 0
     samples: int = 20
-    center_low: Fraction = Fraction(-2)
-    center_high: Fraction = Fraction(2)
-    side_choices: tuple[Fraction, ...] = (
-        Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
-    gamma0_choices: tuple[Fraction, ...] = DEFAULT_GAMMA0
-    center_grid: int = 16  # centers are drawn on the grid Z / center_grid
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.center_low >= self.center_high:
-            raise ValueError("empty center range")
 
 
 def draw_roots(geom: Geometry, config: SamplerConfig) -> list[Root]:
     rng = random.Random(config.seed)
-    q = config.center_grid
-    lo = int(config.center_low * q)
-    hi = int(config.center_high * q)
+    q = _CENTER_GRID
+    lo, hi = -2 * q, 2 * q
     roots = []
     for _ in range(config.samples):
         center = tuple(Fraction(rng.randint(lo, hi), q) for _ in range(geom.n))
         top = Fraction(rng.randint(lo, hi), q)
-        side = rng.choice(config.side_choices)
-        gamma0 = rng.choice(config.gamma0_choices)
+        side = rng.choice(_SIDES)
+        gamma0 = rng.choice(_GAMMA0S)
         roots.append(Root(geom, center, top, side, gamma0))
     return roots
 

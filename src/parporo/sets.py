@@ -1,17 +1,18 @@
 """Closed-set models with parabolic distance oracles and freeness tests.
 
-Every model is a nonempty closed subset of space-time with four queries:
+Every model is a nonempty closed subset of space-time with three queries:
 
-* ``distance(pt, p)``        -- certified bracket on dist_p(pt, E)
-* ``dist_box_range(box, p)`` -- certified brackets on inf/sup of dist_p(., E)
-                                over a box (closure semantics)
-* ``dist_box_gap_span(box, p)`` -- the float pair (inf, an upper bound on
-                                the sup) that the weight integrator reads
-* ``meets_box(box)``         -- does E intersect the half-open box?
+* ``meets_box(box)``            -- does E intersect the half-open box?
+* ``distance(pt, p)``           -- certified bracket on dist_p(pt, E)
+* ``dist_box_gap_span(box, p)`` -- the float pair (inf over the box closure
+                                   of dist_p(., E), an upper bound on its sup)
 
-The first four variants answer everything exactly; the iterated-function-
-system variant works through conservative bounding boxes under a recursion
-cap and reports ``UNKNOWN`` rather than guessing.
+The porosity side reads ``meets_box``; the weight integrator reads the gap
+and span, and ``sup_distance_bracket`` brackets the sup from the span and
+``distance`` at probe points.  The first four variants answer everything
+exactly; the iterated-function-system variant works through conservative
+bounding boxes under a recursion cap and reports ``UNKNOWN`` rather than
+guessing.
 """
 
 from __future__ import annotations
@@ -174,16 +175,6 @@ class PointCloud:
         return (max(inf_sp, _axis_gap(tlo, thi, zt) ** inv),
                 max(sup_sp, _axis_span(tlo, thi, zt) ** inv))
 
-    def dist_box_range(self, box: Box, p: float) -> tuple[Interval, Interval]:
-        inf, sup_hi = self.dist_box_gap_span(box, p)
-        # lower witness for the sup: sampled box points
-        sup_lo = max(self.distance(pt, p).lo for pt in _box_probe_points(box))
-        sup_lo = min(sup_lo, sup_hi)
-        return Interval.point(inf), Interval(sup_lo, sup_hi)
-
-    def sup_is_exact(self) -> bool:
-        return len(self.points) == 1
-
     def meets_box(self, box: Box) -> Freeness:
         bounds, (tlo, thi) = box
         # the points with tlo <= t < thi, by bisection of the sorted times
@@ -252,20 +243,9 @@ class BoxUnion:
         inv = 1.0 / p
         return (max(inf_sp, inf_t ** inv), max(sup_sp, sup_t ** inv))
 
-    def dist_box_range(self, box: Box, p: float) -> tuple[Interval, Interval]:
-        singles = [self._box_range_single(b, box, p) for b in self.boxes]
-        inf = min(s[0] for s in singles)
-        sup_hi = min(s[1] for s in singles)
-        sup_lo = max(self.distance(pt, p).lo for pt in _box_probe_points(box))
-        sup_lo = min(sup_lo, sup_hi)
-        return Interval.point(inf), Interval(sup_lo, sup_hi)
-
     def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
         singles = [self._box_range_single(b, box, p) for b in self.boxes]
         return min(s[0] for s in singles), min(s[1] for s in singles)
-
-    def sup_is_exact(self) -> bool:
-        return len(self.boxes) == 1
 
     def meets_box(self, box: Box) -> Freeness:
         qbounds, (qtlo, qthi) = box
@@ -311,13 +291,6 @@ class HalfSpaceTime:
             inf_g, sup_g = max(0.0, tlo - self.t0), max(0.0, thi - self.t0)
         return inf_g ** inv, sup_g ** inv
 
-    def dist_box_range(self, box: Box, p: float) -> tuple[Interval, Interval]:
-        inf, sup = self.dist_box_gap_span(box, p)
-        return Interval.point(inf), Interval.point(sup)
-
-    def sup_is_exact(self) -> bool:
-        return True
-
     def meets_box(self, box: Box) -> Freeness:
         _, (tlo, thi) = box
         hit = self.t0 < thi if self.future else self.t0 >= tlo
@@ -343,19 +316,10 @@ class SpatialHyperplane:
     def distance(self, pt: Sequence[float], p: float) -> Interval:
         return Interval.point(abs(pt[self.axis] - self.value))
 
-    def dist_box_range(self, box: Box, p: float) -> tuple[Interval, Interval]:
-        bounds, _ = box
-        lo, hi = bounds[self.axis]
-        return (Interval.point(_axis_gap(lo, hi, self.value)),
-                Interval.point(_axis_span(lo, hi, self.value)))
-
     def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
         bounds, _ = box
         lo, hi = bounds[self.axis]
         return _axis_gap(lo, hi, self.value), _axis_span(lo, hi, self.value)
-
-    def sup_is_exact(self) -> bool:
-        return True
 
     def meets_box(self, box: Box) -> Freeness:
         bounds, _ = box
@@ -369,23 +333,27 @@ class SpatialHyperplane:
 
 @dataclass(frozen=True)
 class IFSMap:
-    """Contraction ``x -> ratio*x + shift`` with temporal scale ``ratio^p``."""
+    """Spatial contraction ``x -> ratio*x + shift``."""
 
     ratio: float
     shift: tuple[float, ...]
-    t_shift: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.ratio < 1.0:
             raise ValueError("IFS ratio must lie in (0, 1)")
 
 
+# relative width at which IFS distance refinement stops, and the number of
+# cylinders one IFS ``meets_box`` may visit before answering UNKNOWN
+_IFS_TOL = 1e-12
+_IFS_NODE_BUDGET = 50000
+
+
 @dataclass(frozen=True)
 class IFSFractal:
-    """Attractor of contracting affine maps with parabolic time scaling.
+    """Product ``(spatial attractor) x R_t`` of contracting affine maps.
 
-    ``spatial_only=True`` models a product ``(spatial attractor) x R_t``,
-    e.g. the 1/3-Cantor set crossed with the time axis.  Queries refine
+    E.g. the 1/3-Cantor set crossed with the time axis.  Queries refine
     cylinder bounding boxes down to ``depth_cap`` and report three-valued
     freeness; distance brackets widen instead of failing silently.
     """
@@ -393,7 +361,6 @@ class IFSFractal:
     maps: tuple[IFSMap, ...]
     p: float
     depth_cap: int = 24
-    spatial_only: bool = True
 
     def __post_init__(self):
         if not self.maps:
@@ -441,10 +408,7 @@ class IFSFractal:
         return max((_interval_gap(qlo, qhi, clo, chi)
                     for (qlo, qhi), (clo, chi) in zip(bounds, cell)), default=0.0)
 
-    def distance(self, pt: Sequence[float], p: float,
-                 tol: float = 1e-12) -> Interval:
-        if not self.spatial_only:
-            raise NotImplementedError("space-time IFS distance is box-driven only")
+    def distance(self, pt: Sequence[float], p: float) -> Interval:
         x = tuple(pt[:-1])
         best_hi = math.inf
         frontier = [((), self._root_box())]
@@ -460,7 +424,7 @@ class IFSFractal:
                 best_hi = min(best_hi, max((abs(a - b) for a, b in zip(w, x)), default=0.0))
                 best_hi = min(best_hi, gap + diam)
                 nxt.append((word, cell, gap))
-            if best_hi - best_lo <= tol * max(1.0, best_hi) or depth == self.depth_cap:
+            if best_hi - best_lo <= _IFS_TOL * max(1.0, best_hi) or depth == self.depth_cap:
                 return Interval(min(best_lo, best_hi), best_hi)
             cutoff = best_hi
             frontier = [
@@ -470,42 +434,30 @@ class IFSFractal:
             ]
         return Interval(min(best_lo, best_hi), best_hi)
 
-    def dist_box_range(self, box: Box, p: float) -> tuple[Interval, Interval]:
-        if not self.spatial_only:
-            raise NotImplementedError("space-time IFS ranges are box-driven only")
+    def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
         bounds, _ = box
         # inf: gap to the deepest refinement that still might matter
         frontier = [self._root_box()]
-        inf_lo, inf_hi = 0.0, math.inf
+        inf_lo = 0.0
         for depth in range(self.depth_cap + 1):
             gaps = [self._spatial_gap(bounds, cell) for cell in frontier]
             diam = max(max(hi - lo for lo, hi in cell) for cell in frontier)
             inf_lo = min(gaps)
             inf_hi = min(g + diam for g in gaps)
-            if inf_hi - inf_lo <= 1e-12 * max(1.0, inf_hi) or depth == self.depth_cap:
+            if inf_hi - inf_lo <= _IFS_TOL * max(1.0, inf_hi) or depth == self.depth_cap:
                 break
             cutoff = inf_hi
             frontier = [self._apply(m, cell)
                         for cell, g in zip(frontier, gaps) if g <= cutoff
                         for m in self.maps]
-        # sup: coarse two-sided bound from probe points and the root box
-        sup_lo = max(self.distance(pt, p).lo for pt in _box_probe_points(box))
+        # sup: E lies in the root box, so no box point is farther from E than
+        # its span to the root box's center plus half the root's widest side
         root = self._root_box()
-        sup_hi = max(
-            max((_axis_span(qlo, qhi, c) for (qlo, qhi), c in
-                 zip(bounds, ((rl + rh) / 2 for rl, rh in root))), default=0.0),
-            sup_lo)
-        sup_hi += max(rh - rl for rl, rh in root) / 2
-        return Interval(inf_lo, inf_hi), Interval(sup_lo, sup_hi)
+        sup_hi = max((_axis_span(qlo, qhi, (rl + rh) / 2)
+                      for (qlo, qhi), (rl, rh) in zip(bounds, root)), default=0.0)
+        return inf_lo, sup_hi + max(rh - rl for rl, rh in root) / 2
 
-    def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
-        inf_iv, sup_iv = self.dist_box_range(box, p)
-        return inf_iv.lo, sup_iv.hi
-
-    def sup_is_exact(self) -> bool:
-        return False
-
-    def meets_box(self, box: Box, node_budget: int = 50000) -> Freeness:
+    def meets_box(self, box: Box) -> Freeness:
         bounds, _ = box
         if any(hi <= lo for lo, hi in bounds):
             return Freeness.EMPTY
@@ -514,7 +466,7 @@ class IFSFractal:
         visited = 0
         while stack:
             visited += 1
-            if visited > node_budget:
+            if visited > _IFS_NODE_BUDGET:
                 return Freeness.UNKNOWN
             word, cell = stack.pop()
             # open overlap test per axis: [qlo, qhi) against closed cell
@@ -533,11 +485,9 @@ class IFSFractal:
 
     def to_json(self) -> dict:
         from .serialize import number_str
-        return {"type": "ifs", "p": number_str(self.p),
-                "spatial_only": self.spatial_only, "depth_cap": self.depth_cap,
+        return {"type": "ifs", "p": number_str(self.p), "depth_cap": self.depth_cap,
                 "maps": [{"ratio": number_str(m.ratio),
-                          "shift": [number_str(s) for s in m.shift],
-                          "t_shift": number_str(m.t_shift)} for m in self.maps]}
+                          "shift": [number_str(s) for s in m.shift]} for m in self.maps]}
 
 
 ClosedSetModel = PointCloud | BoxUnion | HalfSpaceTime | SpatialHyperplane | IFSFractal
@@ -562,15 +512,11 @@ def _box_probe_points(box: Box) -> list[Point]:
 # ---------------------------------------------------------------------------
 
 
-def distance_to_set(pt: Sequence[float], model: ClosedSetModel, p: float,
-                    tol: float = 1e-12) -> Interval:
+def distance_to_set(pt: Sequence[float], model: ClosedSetModel, p: float) -> Interval:
     """Certified bracket on dist_p(pt, E); zero width except for fractal
-    models, which refine until ``tol`` or their depth cap (the wide bracket
-    then carries the loss, never a silent guess)."""
-    point = tuple(float(v) for v in pt)
-    if isinstance(model, IFSFractal):
-        return model.distance(point, p, tol=tol)
-    return model.distance(point, p)
+    models, which refine to a relative width of 1e-12 or their depth cap
+    (the wide bracket then carries the loss, never a silent guess)."""
+    return model.distance(tuple(float(v) for v in pt), p)
 
 
 def rectangle_free(model: ClosedSetModel, rect: ParabolicRectangle, p: float) -> Freeness:
@@ -582,43 +528,42 @@ def sup_distance_bracket(model: ClosedSetModel, box: Box, p: float,
                          tol: float = 1e-9, max_cells: int = 20000) -> tuple[Interval, bool]:
     """Certified bracket on ``sup`` of dist_p(., E) over a box.
 
-    Exact (up to rounding) whenever the model's box formula is exact;
-    otherwise branch-and-bound on halved boxes, splitting the parabolically
-    longest axis.  Returns ``(bracket, converged)``.
+    A zero-width first bracket (one point, one box, a half space, the
+    hyperplane) returns at once; otherwise branch-and-bound on halved
+    boxes, splitting the parabolically longest axis.  Returns
+    ``(bracket, converged)``.
     """
-    inf_iv, sup_iv = model.dist_box_range(box, p)
-    if model.sup_is_exact():
-        return sup_iv, True
-    if sup_iv.width <= tol:
-        return sup_iv, True
+    first = _sup_bracket(model, box, p)
+    if first.width <= tol:
+        return first, True
 
-    counter = 0
-    heap: list[tuple[float, int, Box]] = []
-    best_lo = sup_iv.lo
-
-    def push(b: Box):
-        nonlocal counter
-        _, s = model.dist_box_range(b, p)
-        nonlocal best_lo
-        best_lo = max(best_lo, s.lo)
-        heapq.heappush(heap, (-s.hi, counter, b))
-        counter += 1
-
-    push(box)
+    best_lo = first.lo
+    heap: list[tuple[float, int, Box]] = [(-first.hi, 0, box)]
+    counter = 1
     processed = 0
     while heap and processed < max_cells:
         neg_hi, _, cell = heapq.heappop(heap)
-        hi = -neg_hi
-        if hi <= best_lo + tol:
+        if -neg_hi <= best_lo + tol:
             heapq.heappush(heap, (neg_hi, counter, cell))
             break
         for half in _split_box(cell, p):
-            push(half)
+            s = _sup_bracket(model, half, p)
+            best_lo = max(best_lo, s.lo)
+            heapq.heappush(heap, (-s.hi, counter, half))
+            counter += 1
         processed += 1
     sup_hi = max((-h for h, _, _ in heap), default=best_lo)
     sup_hi = max(sup_hi, best_lo)
     converged = sup_hi - best_lo <= tol
     return Interval(best_lo, sup_hi), converged
+
+
+def _sup_bracket(model: ClosedSetModel, box: Box, p: float) -> Interval:
+    """Bracket on the sup of dist_p(., E) over the box closure: the model's
+    span bound above, the farthest probe point as the witness below."""
+    _, hi = model.dist_box_gap_span(box, p)
+    lo = max(model.distance(pt, p).lo for pt in _box_probe_points(box))
+    return Interval(min(lo, hi), hi)
 
 
 def _split_box(box: Box, p: float) -> tuple[Box, Box]:
@@ -662,15 +607,11 @@ def spatial_hyperplane(axis: int = 0, value: float = 0.0) -> SpatialHyperplane:
     return SpatialHyperplane(axis, value)
 
 
-def temporal_halfspace(t0: float = 0.0, future: bool = True) -> HalfSpaceTime:
-    return HalfSpaceTime(t0, future)
-
-
 def cantor_times_time(p: float = 2.0, depth_cap: int = 24) -> IFSFractal:
     """Middle-thirds Cantor set on the first axis crossed with the time axis."""
     return IFSFractal(
         maps=(IFSMap(ratio=1 / 3, shift=(0.0,)), IFSMap(ratio=1 / 3, shift=(2 / 3,))),
-        p=p, depth_cap=depth_cap, spatial_only=True)
+        p=p, depth_cap=depth_cap)
 
 
 def set_to_json(model: ClosedSetModel, p: Optional[float] = None) -> dict:
@@ -702,11 +643,17 @@ def set_from_json(obj: dict) -> tuple[ClosedSetModel, Optional[float]]:
     if kind == "hyperplane":
         return SpatialHyperplane(int(obj["axis"]), float(parse_number(obj["value"]))), p
     if kind == "ifs":
+        # the model is a spatial attractor crossed with the time axis; older
+        # definitions spell that out as "spatial_only": true and "t_shift": 0
+        if obj.get("spatial_only", True) is not True:
+            raise ValueError("an IFS set is a spatial attractor crossed with time: "
+                             "spatial_only must be true")
+        if any(parse_number(m.get("t_shift", 0)) != 0 for m in obj["maps"]):
+            raise ValueError("an IFS set is a spatial attractor crossed with time: "
+                             "t_shift must be 0")
         maps = tuple(IFSMap(float(parse_number(m["ratio"])),
-                            tuple(float(parse_number(s)) for s in m["shift"]),
-                            float(parse_number(m.get("t_shift", "0"))))
+                            tuple(float(parse_number(s)) for s in m["shift"]))
                      for m in obj["maps"])
         return IFSFractal(maps, float(p if p is not None else 2.0),
-                          int(obj.get("depth_cap", 24)),
-                          bool(obj.get("spatial_only", True))), p
+                          int(obj.get("depth_cap", 24))), p
     raise ValueError(f"unknown set model type: {kind!r}")

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from parporo.geometry import ParabolicRectangle
 from parporo.intervals import Interval, interval_sum
-from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, PointCloud,
-                          SpatialHyperplane, _axis_gap, _axis_span, _split_box,
-                          rectangle_free)
+from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal, PointCloud,
+                          SpatialHyperplane, _axis_gap, _axis_span, _box_probe_points,
+                          _split_box, rectangle_free)
 from parporo.weights import (IntegrationResult, _box_measure, _pow_neg,
                              _pointcloud_singular_upper, _primitive_abs)
 
@@ -122,6 +122,53 @@ def _reference_gap_span(model, box, p):
     return float(min(gaps)), float(min(spans))
 
 
+def reference_dist_box_range(model, box, p):
+    """Certified ``(inf, sup)`` brackets of dist_p(., E) over the box closure,
+    worked out per model: closed forms for the half spaces and the
+    hyperplane; for clouds and box unions the inf and the span, with the
+    farthest probe point as the sup's lower witness; for the IFS a refined
+    inf and a sup between the probe points and a root-box bound."""
+    bounds, (tlo, thi) = box
+    inv = 1.0 / p
+    if isinstance(model, HalfSpaceTime):
+        if model.future:
+            inf_g, sup_g = max(0.0, model.t0 - thi), max(0.0, model.t0 - tlo)
+        else:
+            inf_g, sup_g = max(0.0, tlo - model.t0), max(0.0, thi - model.t0)
+        return Interval.point(inf_g ** inv), Interval.point(sup_g ** inv)
+    if isinstance(model, SpatialHyperplane):
+        lo, hi = bounds[model.axis]
+        return (Interval.point(_axis_gap(lo, hi, model.value)),
+                Interval.point(_axis_span(lo, hi, model.value)))
+    sup_lo = max(model.distance(pt, p).lo for pt in _box_probe_points(box))
+    if isinstance(model, IFSFractal):
+        frontier = [model._root_box()]
+        inf_lo, inf_hi = 0.0, math.inf
+        for depth in range(model.depth_cap + 1):
+            gaps = [model._spatial_gap(bounds, cell) for cell in frontier]
+            diam = max(max(hi - lo for lo, hi in cell) for cell in frontier)
+            inf_lo = min(gaps)
+            inf_hi = min(g + diam for g in gaps)
+            if inf_hi - inf_lo <= 1e-12 * max(1.0, inf_hi) or depth == model.depth_cap:
+                break
+            frontier = [model._apply(m, cell)
+                        for cell, g in zip(frontier, gaps) if g <= inf_hi
+                        for m in model.maps]
+        root = model._root_box()
+        sup_hi = max(
+            max((_axis_span(qlo, qhi, c) for (qlo, qhi), c in
+                 zip(bounds, ((rl + rh) / 2 for rl, rh in root))), default=0.0),
+            sup_lo)
+        sup_hi += max(rh - rl for rl, rh in root) / 2
+        return Interval(inf_lo, inf_hi), Interval(sup_lo, sup_hi)
+    if isinstance(model, PointCloud):
+        inf, sup_hi = _reference_gap_span(model, box, p)
+    else:
+        singles = [model._box_range_single(b, box, p) for b in model.boxes]
+        inf, sup_hi = min(s[0] for s in singles), min(s[1] for s in singles)
+    return Interval.point(inf), Interval(min(sup_lo, sup_hi), sup_hi)
+
+
 def _reference_hyperplane(model, box, q):
     bounds, (tlo, thi) = box
     lo, hi = bounds[model.axis]
@@ -166,7 +213,7 @@ def _reference_cell(model, box, spec):
         exact = _reference_hyperplane(model, box, q)
         if exact is not None:
             return _Cell(box, exact, False, False)
-        _, sup_iv = model.dist_box_range(box, p)
+        _, sup_iv = reference_dist_box_range(model, box, p)
         lo = _box_measure(box) * _pow_neg(sup_iv.hi, q)
         return _Cell(box, Interval(lo, math.inf), True, False)
     if isinstance(model, HalfSpaceTime):

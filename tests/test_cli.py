@@ -9,6 +9,11 @@ from parporo.cli import run
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 HYPERPLANE = str(FIXTURES / "hyperplane.json")
 POINT = str(FIXTURES / "point.json")
+CANTOR = json.loads((FIXTURES / "cantor.json").read_text(encoding="utf-8"))
+# IFS definitions the model cannot honour: a space-time attractor, and maps
+# that shift time
+SPACE_TIME_IFS = json.dumps({**CANTOR, "spatial_only": False})
+SHIFTED_IFS = json.dumps({**CANTOR, "maps": [{**m, "t_shift": "5"} for m in CANTOR["maps"]]})
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +149,19 @@ def test_error_non_finite_point(capsys, tmp_path):
     assert "invalid set definition" in err and "finite" in err
 
 
+def test_long_inline_set_and_directory_set(capsys, tmp_path):
+    # inline JSON longer than a file name can be is read as JSON, and a
+    # directory is not a set file
+    cloud = json.dumps({"type": "points",
+                        "coords": [["0", "-1/2"]] + [["7", str(-k)] for k in range(40)]})
+    assert len(cloud) > 255
+    code, out, _ = run_cli(capsys, "maxhole", "--set", cloud, "--cap", "1")
+    assert code == 0 and report_of(out)["result"]["found"] is True
+    code, out, err = run_cli(capsys, "maxhole", "--set", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("parporo: error: invalid set definition")
+
+
 def test_error_invalid_geometry(capsys):
     code, _, err = run_cli(capsys, "maxhole", "--set", HYPERPLANE,
                            "--p", "1.05", "--d", "2")
@@ -198,6 +216,9 @@ def test_config_file_defaults(capsys, tmp_path):
     ({}, ["porosity", "--set", HYPERPLANE, "--theta", "inf"]),
     ({}, ["lattice", "--depth", "-1"]),
     ({"PARPORO_THREADS": "abc"}, ["maxhole", "--set", HYPERPLANE]),
+    ({}, ["maxhole", "--set", SPACE_TIME_IFS]),
+    ({}, ["a1", "--set", SPACE_TIME_IFS]),
+    ({}, ["maxhole", "--set", SHIFTED_IFS]),
 ])
 def test_input_errors_exit_cleanly(capsys, monkeypatch, env, argv):
     for key, value in env.items():

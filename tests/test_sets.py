@@ -4,15 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parporo.geometry import ParabolicRectangle
-from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal, IFSMap,
-                          PointCloud, SpatialHyperplane, cantor_times_time,
-                          distance_to_set, integer_grid, parabolic_distance,
-                          rectangle_free, set_from_json, set_to_json, single_point,
-                          sup_distance_bracket)
+from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal,
+                          PointCloud, SpatialHyperplane, _box_probe_points, _sup_bracket,
+                          cantor_times_time, distance_to_set, integer_grid,
+                          parabolic_distance, rectangle_free, set_from_json, set_to_json,
+                          single_point, sup_distance_bracket)
+
+from oracles import reference_dist_box_range
 
 
 def test_metric_examples():
@@ -261,26 +263,57 @@ def test_set_json_rejects_unknown_type():
         set_from_json({"type": "blob"})
 
 
-def test_gap_span_is_the_outer_endpoints_of_the_range():
-    # one model protocol: every model's (inf, sup upper bound) float pair
-    # equals the outer endpoints of its certified brackets
-    rng = random.Random(5)
-    models = [
-        single_point(1, at=(0.25, -0.5)),
-        PointCloud(((0.1, -0.3), (-0.2, -0.6), (0.4, -0.1))),
-        integer_grid(1, spatial_extent=2, time_depth=3, spacing=0.5),
-        BoxUnion((((( -0.5, 0.25),), (-1.0, -0.25)), (((0.5, 0.5),), (-2.0, 0.0)))),
-        HalfSpaceTime(-0.5, future=True),
-        HalfSpaceTime(-0.5, future=False),
-        SpatialHyperplane(0, 0.125),
-        cantor_times_time(2.0, depth_cap=6),
-    ]
-    assert len(models[2].points) > 12  # the numpy path
-    for model in models:
-        for _ in range(40):
-            p = rng.choice((2.0, 1.5))
-            xlo, tlo = rng.uniform(-2, 2), rng.uniform(-2, 1)
-            box = (((xlo, xlo + rng.choice((0.25, 1.0))),),
-                   (tlo, tlo + rng.choice((0.0625, 1.0))))
-            inf_iv, sup_iv = model.dist_box_range(box, p)
-            assert model.dist_box_gap_span(box, p) == (inf_iv.lo, sup_iv.hi), (model, box)
+# (model, spatial dimension, sup attained at a box corner)
+SPAN_MODELS = [
+    (single_point(1, at=(0.25, -0.5)), 1, True),
+    (single_point(2, at=(0.25, -0.125, -0.5)), 2, True),
+    (PointCloud(((0.1, -0.3), (-0.2, -0.6), (0.4, -0.1))), 1, False),
+    (integer_grid(1, spatial_extent=2, time_depth=3, spacing=0.5), 1, False),
+    (BoxUnion(((((-0.5, 0.25),), (-1.0, -0.25)),)), 1, True),
+    (BoxUnion(((((-0.5, 0.25),), (-1.0, -0.25)), (((0.5, 0.5),), (-2.0, 0.0)))), 1, False),
+    (BoxUnion(((((-0.5, 0.25), (0.0, 1.0)), (-1.0, -0.25)),)), 2, True),
+    (HalfSpaceTime(-0.5, future=True), 1, True),
+    (HalfSpaceTime(-0.5, future=False), 1, True),
+    (SpatialHyperplane(0, 0.125), 1, True),
+    (SpatialHyperplane(1, -0.375), 2, True),
+    (cantor_times_time(2.0, depth_cap=6), 1, False),
+]
+sides = st.one_of(st.integers(-20, 1).map(lambda k: 2.0 ** k), st.just(3.0))
+
+
+@st.composite
+def models_and_boxes(draw):
+    model, n, exact = draw(st.sampled_from(SPAN_MODELS))
+    bounds = []
+    for _ in range(n):
+        lo = draw(st.floats(-2.0, 2.0))
+        bounds.append((lo, lo + draw(sides)))
+    tlo = draw(st.floats(-2.0, 1.0))
+    box = (tuple(bounds), (tlo, tlo + draw(sides)))
+    p = draw(st.sampled_from([2.0, 1.5, math.e, 1.1]))
+    return model, exact, box, p
+
+
+@given(case=models_and_boxes())
+@example(case=(SPAN_MODELS[-1][0], False, (((0.49, 0.51),), (0.0, 0.25)), 2.0))
+@example(case=(SPAN_MODELS[-1][0], False, (((0.125, 0.1875),), (0.0, 2.0 ** -20)), 1.1))
+@settings(max_examples=400, deadline=None)
+def test_sup_bracket_matches_the_per_model_reference(case):
+    # one model protocol: the shared sup bracket (span above, probe points
+    # below) equals each model's own worked-out bracket; the IFS sup comes
+    # from the root box only, so it may be tighter but never below a probe
+    model, exact, box, p = case
+    inf_ref, sup_ref = reference_dist_box_range(model, box, p)
+    inf, sup_hi = model.dist_box_gap_span(box, p)
+    assert inf.hex() == inf_ref.lo.hex()
+    if isinstance(model, IFSFractal):
+        assert sup_hi <= sup_ref.hi
+        probes = _box_probe_points(box)
+        (xlo, xhi), = box[0]
+        probes += [(xlo + f * (xhi - xlo), box[1][0]) for f in (0.1, 0.37, 0.61, 0.9)]
+        assert all(model.distance(pt, p).lo <= sup_hi for pt in probes)
+        return
+    sup = _sup_bracket(model, box, p)
+    assert (sup.lo.hex(), sup.hi.hex()) == (sup_ref.lo.hex(), sup_ref.hi.hex())
+    if exact:
+        assert sup.width == 0.0
