@@ -312,6 +312,8 @@ class Root:
         # float views for realize: per level (l_x, clamped gamma, l_x^p, K_i),
         # filled on first use; the lower spatial face per axis, t_lo, l_t
         self._floats: list[tuple[float, float, float, int]] = []
+        # exact per-level (l_x, |P| / |root|), filled with the float table
+        self._exact: list[tuple[Fraction, Fraction]] = []
         self._origins = tuple(float(c - side / 2) for c in center)
         self._t_lo = self.t_lo_float()
         self._l_t = self.l_t_root_float()
@@ -341,11 +343,15 @@ class Root:
                 self._gammas.append(nxt)
 
     def _floats_to(self, level: int) -> tuple[float, float, float, int]:
-        """Float table entry of ``level``, filling the table up to it."""
+        """Float table entry of ``level``, filling the float and exact
+        tables up to it."""
         self.ensure_depth(level)
         while len(self._floats) <= level:
             i = len(self._floats)
-            w = float(self.l_x_at(i))
+            l_x = self.side / (1 << (self.geom.d * i))
+            self._exact.append((l_x, Fraction(1, (1 << (self.geom.d * self.geom.n * i))
+                                              * self._K[i])))
+            w = float(l_x)
             gamma = min(max(float(self._gammas[i]), 0.0), 0.5)
             self._floats.append((w, gamma, w ** self.geom.p, self._K[i]))
         return self._floats[level]
@@ -375,11 +381,19 @@ class Root:
         return Fraction(1, self.slab_count(level))
 
     def l_x_at(self, level: int) -> Fraction:
-        return self.side / (1 << (self.geom.d * level))
+        if level < 0:
+            raise ValueError("level must be nonnegative")
+        if level >= len(self._exact):
+            self._floats_to(level)
+        return self._exact[level][0]
 
     def measure_fraction_at(self, level: int) -> Fraction:
         """|P| / |root| for any level-``level`` rectangle, exact."""
-        return Fraction(1, (1 << (self.geom.d * self.geom.n * level)) * self.slab_count(level))
+        if level < 0:
+            raise ValueError("level must be nonnegative")
+        if level >= len(self._exact):
+            self._floats_to(level)
+        return self._exact[level][1]
 
     def top_time_float(self) -> float:
         return float(self.top_time)
@@ -477,6 +491,16 @@ class DyadicAddress:
             for j in range(k):
                 out.append(DyadicAddress(self.root, self.level + 1, spatial, t_base + j))
         return out
+
+    def spatial_children(self) -> list["DyadicAddress"]:
+        """One level+1 cell per spatial child, in ``children()`` order, each
+        at the first child slab (temporal index ``temporal * k``)."""
+        split = 1 << self.root.geom.d
+        t_first = self.temporal * self.root.k_at(self.level)
+        bases = tuple(s * split for s in self.spatial)
+        return [DyadicAddress(self.root, self.level + 1,
+                              tuple(b + o for b, o in zip(bases, combo)), t_first)
+                for combo in itertools.product(range(split), repeat=self.root.geom.n)]
 
     def parent(self) -> "DyadicAddress":
         if self.level == 0:

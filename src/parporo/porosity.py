@@ -7,6 +7,15 @@ rectangles.  The maximal hole is the first free cell of the first level
 that has one, and the maximal free collection is every level's free cells.
 Depth caps always surface in the result instead of silently truncating.
 
+Columns and slab multiplicities: the kernel walks spatial columns, each a
+spatial cell together with the slabs it holds under the searched base.  On
+a time-invariant set (``model.time_invariant``, a product ``F x R``) every
+slab of a column gets the same verdict, so the kernel tests one cell per
+column and a level ``L`` below a level-``b`` base counts ``K_{b+L} / K_b``
+slabs per column.  Any other set takes the same loop with one slab per
+column, so there a column is a single cell.  Member addresses are built
+only when a consumer reads them.
+
 One search, level cuts: the maximal free collection of a root depends on
 neither delta nor theta, and cells on one level share a measure, so every
 admissible collection is a cut of it at the level ``delta * |M(R^theta)|``
@@ -15,6 +24,7 @@ fixes.  Each root is searched once, as deep as its deepest cut needs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -40,12 +50,80 @@ class HoleResult:
     unknown_present: bool = False
 
 
+class _FreeLevel:
+    """The free cells of one search level: free columns, each given by its
+    cell at the first slab and sorted by spatial index, times ``mult`` slabs."""
+
+    __slots__ = ("columns", "mult", "_cells")
+
+    def __init__(self, columns: tuple[DyadicAddress, ...], mult: int):
+        self.columns = columns
+        self.mult = mult
+        self._cells: Optional[tuple[DyadicAddress, ...]] = columns if mult == 1 else None
+
+    def __len__(self) -> int:
+        return len(self.columns) * self.mult
+
+    def cells(self) -> tuple[DyadicAddress, ...]:
+        """The members in (temporal, spatial) order: slab ``j`` of every
+        column, then slab ``j + 1``; built once."""
+        if self._cells is None:
+            self._cells = self.columns + tuple(
+                DyadicAddress(c.root, c.level, c.spatial, c.temporal + j)
+                for j in range(1, self.mult) for c in self.columns)
+        return self._cells
+
+
+class Members(SequenceABC):
+    """The members of a free search in (level, temporal, spatial) order.
+
+    Its length is known from the columns and multiplicities alone; the
+    addresses of a level are built on first read, and a cut of the search
+    shares them.  Compares equal to any sequence with the same members.
+    """
+
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: Sequence[_FreeLevel]):
+        self.levels = tuple(levels)
+
+    def __len__(self) -> int:
+        return sum(len(level) for level in self.levels)
+
+    def __iter__(self) -> Iterator[DyadicAddress]:
+        for level in self.levels:
+            yield from level.cells()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        if index < 0:
+            index += len(self)
+        if index >= 0:
+            for level in self.levels:
+                if index < len(level):
+                    return level.cells()[index]
+                index -= len(level)
+        raise IndexError("member index out of range")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Members, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Members({len(self)} in {len(self.levels)} levels)"
+
+
 @dataclass(frozen=True)
 class CollectionReport:
     """Pairwise disjoint dyadic rectangles plus exact coverage bookkeeping."""
 
     base: DyadicAddress
-    rectangles: tuple[DyadicAddress, ...]
+    rectangles: Sequence[DyadicAddress]
     total_measure: Fraction       # in units of |lattice root|
     covered_fraction: Fraction    # total relative to |base|
     depth_cap_hit: bool = False
@@ -56,11 +134,11 @@ class CollectionReport:
 class FreeSearch(CollectionReport):
     """Maximal E-free subrectangles of ``base`` down to ``depth`` levels below it.
 
-    ``rectangles`` are sorted by (level, temporal, spatial), so a shallower
-    search is a prefix; ``level_counts[i]`` is the number of members and
-    ``unknown_levels[i]`` whether a verdict was UNKNOWN ``i`` levels below
-    the base, and ``depth_cap_hit`` that non-free cells remain at the
-    deepest level searched.
+    ``rectangles`` (a ``Members``) are sorted by (level, temporal, spatial),
+    so a shallower search is a prefix; ``level_counts[i]`` is the number of
+    members and ``unknown_levels[i]`` whether a verdict was UNKNOWN ``i``
+    levels below the base, and ``depth_cap_hit`` that non-free cells remain
+    at the deepest level searched.
     """
 
     level_counts: tuple[int, ...] = ()
@@ -77,22 +155,21 @@ class FreeSearch(CollectionReport):
         if levels > self.depth and self.depth_cap_hit:
             raise ValueError(f"a search {self.depth} levels deep with non-free cells "
                              f"left cannot be cut {levels} levels deep")
-        counts = (self.level_counts + (0,) * levels)[:levels + 1]
         flags = (self.unknown_levels + (False,) * levels)[:levels + 1]
-        stop = sum(counts)
-        return _free_search(self.base, self.rectangles[:stop], counts, flags,
-                            stop < len(self.rectangles) or self.depth_cap_hit)
+        return _free_search(self.base, self.rectangles.levels[:levels + 1], flags,
+                            any(self.level_counts[levels + 1:]) or self.depth_cap_hit)
 
 
-def _free_search(base: DyadicAddress, rectangles: tuple[DyadicAddress, ...],
-                 level_counts: tuple[int, ...], unknown_levels: tuple[bool, ...],
-                 cap_hit: bool) -> FreeSearch:
+def _free_search(base: DyadicAddress, levels: Sequence[_FreeLevel],
+                 unknown_levels: tuple[bool, ...], cap_hit: bool) -> FreeSearch:
+    counts = tuple(len(level) for level in levels)
+    counts += (0,) * (len(unknown_levels) - len(counts))
     total = sum((base.root.measure_fraction_at(base.level + rel) * count
-                 for rel, count in enumerate(level_counts) if count), Fraction(0))
-    return FreeSearch(base=base, rectangles=rectangles, total_measure=total,
+                 for rel, count in enumerate(counts) if count), Fraction(0))
+    return FreeSearch(base=base, rectangles=Members(levels), total_measure=total,
                       covered_fraction=total / base.measure_fraction(),
                       depth_cap_hit=cap_hit, unknown_present=any(unknown_levels),
-                      level_counts=level_counts, unknown_levels=unknown_levels)
+                      level_counts=counts, unknown_levels=unknown_levels)
 
 
 @dataclass(frozen=True)
@@ -115,16 +192,32 @@ def _freeness(model: ClosedSetModel, addr: DyadicAddress) -> Freeness:
 
 
 def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
-          ) -> Iterator[tuple[list[DyadicAddress], bool, list[DyadicAddress]]]:
-    """Per level down to ``depth_cap`` below ``root_addr``: the free cells in
-    (temporal, spatial) order, whether a verdict was UNKNOWN, and the
-    non-free cells, whose children are built only when the next level is
-    asked for.  UNKNOWN cells count as non-free and are descended into."""
+          ) -> Iterator[tuple[list[DyadicAddress], int, bool, list[DyadicAddress]]]:
+    """Per level down to ``depth_cap`` below ``root_addr``: the free columns
+    sorted by spatial index, the slab multiplicity, whether a verdict was
+    UNKNOWN, and the non-free columns, whose children are built only when
+    the next level is asked for.  UNKNOWN cells count as non-free and are
+    descended into.
+
+    A column is given by its cell at the first slab under ``root_addr``.  On
+    a time-invariant set one cell stands for all of its column's slabs: a
+    non-free column's ``spatial_children()`` form the next level, and level
+    ``L`` holds ``K_{b+L} / K_b`` slabs per column, the slab ``j`` of a
+    column under a base at temporal index ``T`` at ``T * K_{b+L} / K_b + j``.
+    Otherwise every cell is its own column (multiplicity 1) and the next
+    level is the ``children()`` of every non-free cell.
+    """
     if depth_cap < 0:
         raise ValueError("depth_cap must be nonnegative")
+    invariant = model.time_invariant
+    root = root_addr.root
     frontier = [root_addr]
+    mult = 1
     for rel in range(depth_cap + 1):
-        if rel:
+        if rel and invariant:
+            frontier = [child for addr in frontier for child in addr.spatial_children()]
+            mult = root.slab_count(root_addr.level + rel) // root.slab_count(root_addr.level)
+        elif rel:
             frontier = [child for addr in frontier for child in addr.children()]
         free: list[DyadicAddress] = []
         rest: list[DyadicAddress] = []
@@ -137,20 +230,21 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
                 unknown |= state is Freeness.UNKNOWN
                 rest.append(addr)
         free.sort(key=lambda a: (a.temporal, a.spatial))
-        yield free, unknown, rest
+        yield free, mult, unknown, rest
         frontier = rest
 
 
 def maximal_hole(model: ClosedSetModel, root_addr: DyadicAddress,
                  depth_cap: int) -> HoleResult:
     """A free rectangle of maximal spatial side: the first free cell, by
-    (temporal, spatial) index, of the first level of the search that has one.
+    (temporal, spatial) index, of the first level of the search that has one
+    (on a time-invariant set, the first slab of the first free column).
 
     UNKNOWN rectangles count as non-free, which keeps the result a certified
     lower bound; ``unknown_present`` covers the levels down to the hole's.
     """
     unknown_present = False
-    for free, unknown, rest in _walk(model, root_addr, depth_cap):
+    for free, _mult, unknown, rest in _walk(model, root_addr, depth_cap):
         unknown_present |= unknown
         if free:
             best = free[0]
@@ -168,15 +262,12 @@ def free_collection(model: ClosedSetModel, root_addr: DyadicAddress,
 
 def _maximal_free(model: ClosedSetModel, root_addr: DyadicAddress,
                   depth_cap: int) -> FreeSearch:
-    members: list[DyadicAddress] = []
-    counts: list[int] = []
+    levels: list[_FreeLevel] = []
     unknown_levels: list[bool] = []
-    for free, unknown, rest in _walk(model, root_addr, depth_cap):
-        members += free
-        counts.append(len(free))
+    for free, mult, unknown, rest in _walk(model, root_addr, depth_cap):
+        levels.append(_FreeLevel(tuple(free), mult))
         unknown_levels.append(unknown)
-    return _free_search(root_addr, tuple(members), tuple(counts),
-                        tuple(unknown_levels), bool(rest))
+    return _free_search(root_addr, levels, tuple(unknown_levels), bool(rest))
 
 
 def hole_of_translate(model: ClosedSetModel, base: DyadicAddress, theta,

@@ -7,6 +7,11 @@ Every model is a nonempty closed subset of space-time with three queries:
 * ``dist_box_gap_span(box, p)`` -- the float pair (inf over the box closure
                                    of dist_p(., E), an upper bound on its sup)
 
+Each model class also declares ``time_invariant``: ``True`` when E is a
+product ``F x R`` (a spatial set crossed with the time axis), so that
+``meets_box`` never reads the temporal bounds of its box.  The free search
+then tests one cell per spatial column and counts the column's slabs.
+
 The porosity side reads ``meets_box``; the weight integrator reads the gap
 and span, and ``sup_distance_bracket`` brackets the sup from the span and
 ``distance`` at probe points.  The first four variants answer everything
@@ -94,6 +99,8 @@ class PointCloud:
     """
 
     points: tuple[Point, ...]
+
+    time_invariant = False
 
     def __post_init__(self):
         if not self.points:
@@ -205,6 +212,8 @@ class BoxUnion:
 
     boxes: tuple[Box, ...]
 
+    time_invariant = False
+
     def __post_init__(self):
         if not self.boxes:
             raise ValueError("a closed-set model must be nonempty")
@@ -273,6 +282,8 @@ class HalfSpaceTime:
     t0: float
     future: bool = True
 
+    time_invariant = False
+
     @property
     def is_null(self) -> bool:
         return False
@@ -308,6 +319,8 @@ class SpatialHyperplane:
 
     axis: int
     value: float
+
+    time_invariant = True
 
     @property
     def is_null(self) -> bool:
@@ -362,21 +375,14 @@ class IFSFractal:
     p: float
     depth_cap: int = 24
 
+    time_invariant = True
+
     def __post_init__(self):
         if not self.maps:
             raise ValueError("a closed-set model must be nonempty")
-
-    @property
-    def is_null(self) -> bool:
-        # strictly contracting with at least spatial codimension in the product
-        return True
-
-    @property
-    def n(self) -> int:
-        return len(self.maps[0].shift)
-
-    def _root_box(self) -> tuple[tuple[float, float], ...]:
-        """Per-axis interval invariant under the union of the maps."""
+        # the root box: a bound on the attractor, narrowed under the maps
+        # until it is fixed or 200 rounds have run (the Cantor maps never
+        # reach a fixed point in floats), once per model
         rmax = max(m.ratio for m in self.maps)
         bound = max(max(abs(s) for s in m.shift) for m in self.maps) / (1.0 - rmax) + 1.0
         box = [(-bound, bound)] * self.n
@@ -389,7 +395,20 @@ class IFSFractal:
             if nxt == box:
                 break
             box = nxt
-        return tuple(box)
+        object.__setattr__(self, "_box", tuple(box))
+
+    @property
+    def is_null(self) -> bool:
+        # strictly contracting with at least spatial codimension in the product
+        return True
+
+    @property
+    def n(self) -> int:
+        return len(self.maps[0].shift)
+
+    def _root_box(self) -> tuple[tuple[float, float], ...]:
+        """Per-axis interval invariant under the union of the maps."""
+        return self._box
 
     def _apply(self, m: IFSMap, box: tuple[tuple[float, float], ...]):
         return tuple((m.ratio * lo + m.shift[j], m.ratio * hi + m.shift[j])

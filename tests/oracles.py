@@ -8,9 +8,11 @@ definitions.
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from parporo.geometry import ParabolicRectangle
 from parporo.intervals import Interval, interval_sum
+from parporo.porosity import HoleResult
 from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal, PointCloud,
                           SpatialHyperplane, _axis_gap, _axis_span, _box_probe_points,
                           _split_box, rectangle_free)
@@ -74,6 +76,71 @@ def brute_force_maximal_free(model, root_addr, depth):
             continue
         out.append(addr)
     return out
+
+
+# ---------------------------------------------------------------------------
+# free search: every cell of every non-free cell's children, one test each
+# ---------------------------------------------------------------------------
+
+
+def reference_walk(model, root_addr, depth_cap):
+    """The search kernel without columns: per level, the free cells in
+    (temporal, spatial) order, whether a verdict was UNKNOWN, and the
+    non-free cells, whose ``children()`` form the next level."""
+    if depth_cap < 0:
+        raise ValueError("depth_cap must be nonnegative")
+    p = root_addr.root.geom.p
+    frontier = [root_addr]
+    for rel in range(depth_cap + 1):
+        if rel:
+            frontier = [child for addr in frontier for child in addr.children()]
+        free, rest = [], []
+        unknown = False
+        for addr in frontier:
+            state = rectangle_free(model, addr.realize(), p)
+            if state is Freeness.EMPTY:
+                free.append(addr)
+            else:
+                unknown |= state is Freeness.UNKNOWN
+                rest.append(addr)
+        free.sort(key=lambda a: (a.temporal, a.spatial))
+        yield free, unknown, rest
+        frontier = rest
+
+
+@dataclass(frozen=True)
+class ReferenceSearch:
+    members: tuple
+    level_counts: tuple
+    unknown_levels: tuple
+    depth_cap_hit: bool
+    total_measure: Fraction
+
+
+def reference_maximal_free(model, root_addr, depth_cap):
+    """Every level's free cells from ``reference_walk``, with the counts,
+    flags and exact measure of ``porosity._maximal_free``."""
+    members, counts, flags = [], [], []
+    for free, unknown, rest in reference_walk(model, root_addr, depth_cap):
+        members += free
+        counts.append(len(free))
+        flags.append(unknown)
+    total = sum((root_addr.root.measure_fraction_at(root_addr.level + rel) * count
+                 for rel, count in enumerate(counts)), Fraction(0))
+    return ReferenceSearch(tuple(members), tuple(counts), tuple(flags), bool(rest), total)
+
+
+def reference_maximal_hole(model, root_addr, depth_cap):
+    """The first free cell of the first level of ``reference_walk`` that has one."""
+    unknown_present = False
+    for free, unknown, rest in reference_walk(model, root_addr, depth_cap):
+        unknown_present |= unknown
+        if free:
+            best = free[0]
+            return HoleResult(best, best.measure_fraction(), best.l_x(),
+                              depth_cap_hit=False, unknown_present=unknown_present)
+    return HoleResult(None, Fraction(0), Fraction(0), depth_cap_hit=bool(rest),
+                      unknown_present=unknown_present)
 
 
 def halton(i: int, base: int) -> float:

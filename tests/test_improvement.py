@@ -90,6 +90,17 @@ def test_harness_hyperplane_consistent(geom12, hyperplane):
     assert math.isfinite(hi) and hi >= lo >= 1.0 - 1e-9
 
 
+def test_harness_hyperplane_exact_at_cap_8(geom12, hyperplane):
+    # the defect at the j-th grid delta is exactly 4^-(j+1), which is
+    # K * delta^(1/3) with K = 2^(-5/3)
+    rep = characterization_harness(hyperplane, geom12, HarnessConfig(depth_cap=8))
+    assert [row["c"] for row in rep["porosity_curve"]] == \
+        [str(1 - Fraction(1, 4 ** (j + 1))) for j in range(8)]
+    assert abs(float(rep["alpha_hat"]) - 1 / 3) <= 1e-9
+    assert abs(float(rep["K_hat"]) - 2 ** (-5 / 3)) <= 1e-9
+    assert rep["verdict"] == "consistent"
+
+
 def test_harness_point_consistent(geom12, origin_point):
     config = HarnessConfig(seed=1, samples=8, depth_cap=3, a1_samples=4,
                            a1_tol=5e-2)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parporo import porosity
 from parporo.geometry import DyadicAddress, Root, new_geometry
@@ -17,7 +19,8 @@ from parporo.sets import (Freeness, PointCloud, SpatialHyperplane, cantor_times_
                           rectangle_free, single_point)
 
 
-from oracles import brute_force_hole, brute_force_maximal_free
+from oracles import (brute_force_hole, brute_force_maximal_free, reference_maximal_free,
+                     reference_maximal_hole)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +239,8 @@ def _hole_of_search(search):
 
 
 # (model, (center, top time) of the unit roots searched, caps); the face of
-# the half space crosses the root with top time 1/3, the Cantor models meet
-# UNKNOWN verdicts below their own caps, and a search past cap 2 costs them
-# minutes without adding a case
+# the half space crosses the root with top time 1/3, and the Cantor models
+# meet UNKNOWN verdicts below their own caps
 UNIT_ROOTS = ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0)),
               (Fraction(0), Fraction(1, 3)))
 KERNEL_CASES = [
@@ -246,8 +248,8 @@ KERNEL_CASES = [
     ("origin_point", UNIT_ROOTS, range(4)),
     ("coarse_grid", UNIT_ROOTS, range(4)),
     ("halfspace", UNIT_ROOTS, range(4)),
-    (1, UNIT_ROOTS[1:2], range(3)),
-    (2, UNIT_ROOTS[1:2], range(3)),
+    (1, UNIT_ROOTS[1:2], range(4)),
+    (2, UNIT_ROOTS[1:2], range(4)),
 ]
 
 
@@ -271,11 +273,13 @@ def test_hole_is_first_level_of_free_search(request, geom12, model, roots, caps)
         assert any(search.unknown_present for _hole, search in seen)
 
 
-def test_maximal_hole_stops_at_the_hole_level(monkeypatch, unit_root, hyperplane):
-    tested = []
-    expanded = []
+def _count_search_work(monkeypatch):
+    """Levels of the cells the kernel tests, and of the cells it subdivides
+    through ``children()`` and ``spatial_children()``."""
+    tested, expanded, columns = [], [], []
     real_freeness = porosity._freeness
     real_children = DyadicAddress.children
+    real_spatial = DyadicAddress.spatial_children
 
     def counting_freeness(model, addr):
         tested.append(addr.level)
@@ -285,13 +289,98 @@ def test_maximal_hole_stops_at_the_hole_level(monkeypatch, unit_root, hyperplane
         expanded.append(addr.level)
         return real_children(addr)
 
+    def counting_spatial(addr):
+        columns.append(addr.level)
+        return real_spatial(addr)
+
     monkeypatch.setattr(porosity, "_freeness", counting_freeness)
     monkeypatch.setattr(DyadicAddress, "children", counting_children)
-    hole = maximal_hole(hyperplane, unit_root.address(), 3)
+    monkeypatch.setattr(DyadicAddress, "spatial_children", counting_spatial)
+    return tested, expanded, columns
+
+
+def test_maximal_hole_stops_at_the_hole_level(monkeypatch, unit_root, origin_point):
+    # a time-dependent set takes the full walk
+    cells = len(unit_root.address().children())
+    tested, expanded, columns = _count_search_work(monkeypatch)
+    hole = maximal_hole(origin_point, unit_root.address(), 3)
     assert hole.address.level == 1
     # the root and its children are tested; no level-1 cell is subdivided
-    assert expanded == [0]
-    assert tested == [0] + [1] * len(real_children(unit_root.address()))
+    assert expanded == [0] and columns == []
+    assert tested == [0] + [1] * cells
+
+
+def test_maximal_hole_tests_one_cell_per_column(monkeypatch, unit_root, hyperplane):
+    # a time-invariant set: one cell per spatial column, 4 level-1 columns
+    # standing for 64 cells
+    tested, expanded, columns = _count_search_work(monkeypatch)
+    hole = maximal_hole(hyperplane, unit_root.address(), 3)
+    assert hole.address.key() == (1, (0,), 0)
+    assert columns == [0] and expanded == []
+    assert tested == [0] + [1] * (1 << unit_root.geom.d)
+
+
+# ---------------------------------------------------------------------------
+# columns and slab multiplicities against the full walk
+# ---------------------------------------------------------------------------
+
+
+QUOTIENT_GEOMS = {p: new_geometry(1, p) for p in (2.0, 1.5, math.e)}
+
+
+@st.composite
+def invariant_searches(draw):
+    """A time-invariant model, a base at levels 0-2 with its temporal index
+    translated (negative ones included) and a search cap; the plane lies on
+    a lattice face of the base or anywhere near it."""
+    p = draw(st.sampled_from(sorted(QUOTIENT_GEOMS)))
+    g = QUOTIENT_GEOMS[p]
+    root = Root(g, (Fraction(draw(st.integers(-2, 6)), 4),),
+                Fraction(draw(st.integers(-8, 8)), 4),
+                draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)])),
+                Fraction(draw(st.integers(0, 8)), 16))
+    level = draw(st.integers(0, 2))
+    base = root.address(level, (draw(st.integers(0, (1 << (g.d * level)) - 1)),),
+                        draw(st.integers(-3, 20)))
+    (lo, hi), = base.spatial_intervals()
+    kind = draw(st.sampled_from(["face", "plane", "cantor"]))
+    if kind == "face":
+        face = draw(st.integers(level, level + 3))
+        steps = draw(st.integers(0, 1 << (g.d * (face - level))))
+        model = SpatialHyperplane(0, float(lo + steps * root.l_x_at(face)))
+    elif kind == "plane":
+        model = SpatialHyperplane(0, draw(st.floats(float(lo) - 0.25, float(hi) + 0.25)))
+    else:
+        model = cantor_times_time(p, depth_cap=draw(st.integers(1, 2)))
+    # the full walk grows with K per level: cap 3 only where it stays small
+    cap = draw(st.integers(0, 3 if kind != "cantor" and p == 2.0 else 2))
+    return model, base, cap
+
+
+def _root_at(p, center, gamma0=Fraction(0)):
+    return Root(QUOTIENT_GEOMS[p], (center,), Fraction(0), Fraction(1), gamma0)
+
+
+@given(case=invariant_searches())
+@example(case=(SpatialHyperplane(0, 0.0),
+               _root_at(2.0, Fraction(0)).address(1, (2,), -2), 2))
+@example(case=(SpatialHyperplane(0, 0.1),
+               _root_at(1.5, Fraction(0), Fraction(1, 4)).address(1, (4,), 5), 2))
+@example(case=(cantor_times_time(math.e, depth_cap=2),
+               _root_at(math.e, Fraction(1, 2), Fraction(3, 16)).address(0, (0,), -3), 2))
+@settings(max_examples=60, deadline=None)
+def test_column_search_matches_the_full_walk(case):
+    model, base, cap = case
+    assert model.time_invariant
+    search = porosity._maximal_free(model, base, cap)
+    ref = reference_maximal_free(model, base, cap)
+    assert [a.key() for a in search.rectangles] == [a.key() for a in ref.members]
+    assert len(search.rectangles) == len(ref.members)
+    assert search.level_counts == ref.level_counts
+    assert search.unknown_levels == ref.unknown_levels
+    assert search.depth_cap_hit == ref.depth_cap_hit
+    assert search.total_measure == ref.total_measure
+    assert maximal_hole(model, base, cap) == reference_maximal_hole(model, base, cap)
 
 
 def test_hole_of_translate_integer_vs_real(unit_root, hyperplane):

@@ -317,3 +317,36 @@ def test_sup_bracket_matches_the_per_model_reference(case):
     assert (sup.lo.hex(), sup.hi.hex()) == (sup_ref.lo.hex(), sup_ref.hi.hex())
     if exact:
         assert sup.width == 0.0
+
+
+# ---------------------------------------------------------------------------
+# time invariance: the free search tests one cell per spatial column
+# ---------------------------------------------------------------------------
+
+
+def test_time_invariance_is_declared_on_the_product_sets():
+    models = (PointCloud, BoxUnion, HalfSpaceTime, SpatialHyperplane, IFSFractal)
+    assert {m.__name__ for m in models if m.time_invariant} == \
+        {"SpatialHyperplane", "IFSFractal"}
+
+
+INVARIANT_MODELS = [(model, n) for model, n, _exact in SPAN_MODELS if model.time_invariant] \
+    + [(cantor_times_time(2.0, depth_cap=cap), 1) for cap in (1, 2, 24)]
+time_bounds = st.one_of(
+    st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)).map(lambda t: (t[0], t[0] + t[1])),
+    st.just((-math.inf, math.inf)), st.just((0.0, 0.0)), st.just((1.0, -1.0)))
+
+
+@given(data=st.data(), which=st.integers(0, len(INVARIANT_MODELS) - 1),
+       windows=st.lists(time_bounds, min_size=2, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_time_invariant_models_ignore_temporal_bounds(data, which, windows):
+    # the contract the column search relies on: one verdict per spatial box,
+    # whatever the temporal window, empty and reversed windows included
+    model, n = INVARIANT_MODELS[which]
+    bounds = []
+    for _ in range(n):
+        lo = data.draw(st.floats(-1.5, 1.5))
+        bounds.append((lo, lo + data.draw(sides)))
+    verdicts = {model.meets_box((tuple(bounds), window)) for window in windows}
+    assert len(verdicts) == 1
