@@ -214,12 +214,26 @@ def verify_nesting(partition: StoppingPartition) -> tuple[bool, Optional[tuple]]
 def verify_disjoint_from_admissible(partition: StoppingPartition,
                                     admissible: CollectionReport
                                     ) -> tuple[bool, Optional[tuple]]:
-    """No chain element's body intersects an admissible rectangle's body."""
+    """No chain element's body intersects an admissible rectangle's body.
+
+    Lattice bodies are nested or disjoint, so a member meets an admissible
+    rectangle exactly when one is an ancestor of the other or they are
+    equal: two key lookups per member and ancestor level instead of a scan
+    of every pair.  The pair returned is the first of that scan, in group,
+    member and admissible order.
+    """
+    adm_keys = {adm.key() for adm in admissible.rectangles}
+    adm_levels = {key[0] for key in adm_keys}
+    # every admissible rectangle with its ancestors, itself included
+    covering = {adm.ancestor(level).key() for adm in admissible.rectangles
+                for level in range(adm.level + 1)}
     for k in sorted(partition.groups):
         for member in partition.groups[k]:
-            for adm in admissible.rectangles:
-                if member.intersects(adm):
-                    return False, (member, adm)
+            if member.key() in covering or any(
+                    member.ancestor(level).key() in adm_keys
+                    for level in adm_levels if level < member.level):
+                return False, next((member, adm) for adm in admissible.rectangles
+                                   if member.intersects(adm))
     return True, None
 
 

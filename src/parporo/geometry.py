@@ -13,7 +13,8 @@ and exact bounds (``spatial_intervals``, ``temporal_offsets``) are
 ``fractions.Fraction`` multiples of the root's side and temporal length.
 ``realize`` returns floats read from per-level tables that each root builds
 once from the exact values (each entry is ``float()`` of its exact value),
-so a cell costs a few float operations.  ``2^(d*p)`` itself is evaluated
+so a cell costs a few float operations; ``run_box`` reads the same tables
+for the box of a run of consecutive slabs.  ``2^(d*p)`` itself is evaluated
 with mpmath at a configurable precision; the division-count branch refuses
 to choose when the truncation parameter is too close to the branch
 threshold to certify.
@@ -593,6 +594,28 @@ class DyadicAddress:
             side=w,
             gamma=gamma,
         )
+
+    def run_box(self, run: int = 1
+                ) -> tuple[tuple[tuple[float, float], ...], tuple[float, float]]:
+        """Float box of ``run`` consecutive slabs from this cell on: the
+        first slab's lower face to the last slab's upper face.
+
+        ``run_box(1)`` is ``realize().box(p)`` bit for bit.  Both faces are
+        monotone in the temporal index, so the box contains the realized
+        box of every slab of the run.
+        """
+        root = self.root
+        try:
+            w, gamma, w_p, K = root._floats[self.level]
+        except IndexError:
+            w, gamma, w_p, K = root._floats_to(self.level)
+        first = root._t_lo + (self.temporal / K) * root._l_t
+        last = first if run == 1 else \
+            root._t_lo + ((self.temporal + run - 1) / K) * root._l_t
+        h = 0.5 * w
+        bounds = tuple((c - h, c + h)
+                       for c in (o + (s + 0.5) * w for o, s in zip(root._origins, self.spatial)))
+        return bounds, ((first + w_p) - w_p, (last + w_p) - gamma * w_p)
 
     def gamma(self) -> mpmath.mpf:
         return self.root.gamma_at(self.level)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import Geometry, Root, default_parameters
-from .porosity import (CollectionReport, PorosityReport, admissible_cut,
+from .porosity import (CollectionReport, Members, PorosityReport, admissible_cut,
                        hole_of_translate, porosity_curve, search_for_cuts)
 from .sampling import SamplerConfig, draw_roots
 from .sets import ClosedSetModel
@@ -33,7 +33,7 @@ class TowerPartition:
 
     base_report: CollectionReport
     deltas: tuple[Fraction, ...]
-    layers: tuple[tuple, ...]           # layer i: addresses new at delta_i
+    layers: tuple[Members, ...]         # layer i: addresses new at delta_i
     layer_measures: tuple[Fraction, ...]
     residual: Fraction                  # 1 - covered fraction at the last delta
     depth_cap_hit: bool
@@ -62,14 +62,16 @@ def tower_partition(model: ClosedSetModel, root_addr, delta_seq: Sequence[Fracti
     hole = hole_of_translate(model, root_addr, theta, depth_cap)
     search = search_for_cuts(model, root_addr, hole, deltas, depth_cap)
     reports = [admissible_cut(search, hole, d, depth_cap) for d in deltas]
+    # each cut is a level prefix of the one before it: layer i is the levels
+    # between cut i-1 and cut i, and its measure the difference of the totals
     layers = []
-    seen: set = set()
     measures = []
+    done, covered = 0, Fraction(0)
     for rep in reports:
-        fresh = tuple(a for a in rep.rectangles if a.key() not in seen)
-        seen.update(a.key() for a in fresh)
-        layers.append(fresh)
-        measures.append(sum((a.measure_fraction() for a in fresh), Fraction(0)))
+        levels = rep.rectangles.levels
+        layers.append(Members(levels[done:]))
+        measures.append(rep.total_measure - covered)
+        done, covered = len(levels), rep.total_measure
     last = reports[-1]
     return TowerPartition(
         base_report=last,

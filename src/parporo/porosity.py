@@ -7,14 +7,17 @@ rectangles.  The maximal hole is the first free cell of the first level
 that has one, and the maximal free collection is every level's free cells.
 Depth caps always surface in the result instead of silently truncating.
 
-Columns and slab multiplicities: the kernel walks spatial columns, each a
-spatial cell together with the slabs it holds under the searched base.  On
-a time-invariant set (``model.time_invariant``, a product ``F x R``) every
-slab of a column gets the same verdict, so the kernel tests one cell per
-column and a level ``L`` below a level-``b`` base counts ``K_{b+L} / K_b``
-slabs per column.  Any other set takes the same loop with one slab per
-column, so there a column is a single cell.  Member addresses are built
-only when a consumer reads them.
+Slab runs: the kernel's unit of work is a run, a cell together with the
+next ``m - 1`` slabs of its spatial column, tested as one box
+(``DyadicAddress.run_box``).  A spatial child of a run at level ``L`` is
+the run of the ``m * k_L`` slabs under it.  ``meets_box`` is monotone under
+inclusion and the run box contains every slab's box, so a run E misses is
+free slab by slab; a run E meets is bisected in time until the halves are
+free or single slabs.  On a time-invariant set (``model.time_invariant``,
+a product ``F x R``) every slab of a run gets the same verdict, so a
+non-free run is never bisected and a level ``L`` below a level-``b`` base
+holds one run of ``K_{b+L} / K_b`` slabs per spatial column.  Member
+addresses are built only when a consumer reads them.
 
 One search, level cuts: the maximal free collection of a root depends on
 neither delta nor theta, and cells on one level share a measure, so every
@@ -32,7 +35,7 @@ from typing import Iterator, Optional, Sequence
 from .geometry import DyadicAddress, Root
 from .intervals import Interval
 from .sampling import run_indexed
-from .sets import ClosedSetModel, Freeness, rectangle_free, sup_distance_bracket
+from .sets import ClosedSetModel, Freeness, sup_distance_bracket
 
 
 @dataclass(frozen=True)
@@ -51,35 +54,36 @@ class HoleResult:
 
 
 class _FreeLevel:
-    """The free cells of one search level: free columns, each given by its
-    cell at the first slab and sorted by spatial index, times ``mult`` slabs."""
+    """The free cells of one search level, held as free slab runs: each run
+    is its cell at the first slab and its slab count."""
 
-    __slots__ = ("columns", "mult", "_cells")
+    __slots__ = ("runs", "count", "_cells")
 
-    def __init__(self, columns: tuple[DyadicAddress, ...], mult: int):
-        self.columns = columns
-        self.mult = mult
-        self._cells: Optional[tuple[DyadicAddress, ...]] = columns if mult == 1 else None
+    def __init__(self, runs: Sequence[tuple[DyadicAddress, int]]):
+        self.runs = tuple(runs)
+        self.count = sum(run for _addr, run in self.runs)
+        self._cells: Optional[tuple[DyadicAddress, ...]] = None
 
     def __len__(self) -> int:
-        return len(self.columns) * self.mult
+        return self.count
 
     def cells(self) -> tuple[DyadicAddress, ...]:
-        """The members in (temporal, spatial) order: slab ``j`` of every
-        column, then slab ``j + 1``; built once."""
+        """The members in (temporal, spatial) order; built once."""
         if self._cells is None:
-            self._cells = self.columns + tuple(
-                DyadicAddress(c.root, c.level, c.spatial, c.temporal + j)
-                for j in range(1, self.mult) for c in self.columns)
+            order = sorted((t, addr.spatial, addr) for addr, run in self.runs
+                           for t in range(addr.temporal, addr.temporal + run))
+            self._cells = tuple(
+                addr if t == addr.temporal else
+                DyadicAddress(addr.root, addr.level, spatial, t)
+                for t, spatial, addr in order)
         return self._cells
 
 
 class Members(SequenceABC):
     """The members of a free search in (level, temporal, spatial) order.
 
-    Its length is known from the columns and multiplicities alone; the
-    addresses of a level are built on first read, and a cut of the search
-    shares them.  Compares equal to any sequence with the same members.
+    Its length is known from the free runs alone; the addresses of a level
+    are built on first read, and a cut of the search shares them.  Compares equal to any sequence with the same members.
     """
 
     __slots__ = ("levels",)
@@ -187,50 +191,54 @@ class PorosityReport:
     searches: tuple[FreeSearch, ...] = field(default=(), repr=False, compare=False)
 
 
-def _freeness(model: ClosedSetModel, addr: DyadicAddress) -> Freeness:
-    return rectangle_free(model, addr.realize(), addr.root.geom.p)
+def _freeness(model: ClosedSetModel, addr: DyadicAddress, run: int) -> Freeness:
+    return model.meets_box(addr.run_box(run))
 
 
 def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
-          ) -> Iterator[tuple[list[DyadicAddress], int, bool, list[DyadicAddress]]]:
-    """Per level down to ``depth_cap`` below ``root_addr``: the free columns
-    sorted by spatial index, the slab multiplicity, whether a verdict was
-    UNKNOWN, and the non-free columns, whose children are built only when
-    the next level is asked for.  UNKNOWN cells count as non-free and are
-    descended into.
+          ) -> Iterator[tuple[list[tuple[DyadicAddress, int]], bool,
+                              list[tuple[DyadicAddress, int]]]]:
+    """Per level down to ``depth_cap`` below ``root_addr``: the free runs,
+    whether a verdict was UNKNOWN, and the non-free runs, whose spatial
+    children are built only when the next level is asked for.
 
-    A column is given by its cell at the first slab under ``root_addr``.  On
-    a time-invariant set one cell stands for all of its column's slabs: a
-    non-free column's ``spatial_children()`` form the next level, and level
-    ``L`` holds ``K_{b+L} / K_b`` slabs per column, the slab ``j`` of a
-    column under a base at temporal index ``T`` at ``T * K_{b+L} / K_b + j``.
-    Otherwise every cell is its own column (multiplicity 1) and the next
-    level is the ``children()`` of every non-free cell.
+    A run ``(addr, m)`` is the ``m`` slabs of ``addr``'s spatial column from
+    ``addr`` on; the root is ``(root_addr, 1)``, and a spatial child of
+    ``(addr, m)`` is ``(child at addr.temporal * k, m * k)``.  Each run is
+    tested as one box.  A run E misses is free.  A run E meets stays
+    non-free when it is a single slab or the set is time-invariant, and
+    only such a verdict counts as UNKNOWN; any other run is bisected in
+    time, the lower half tested first.  UNKNOWN runs count as non-free and
+    are descended into.
     """
     if depth_cap < 0:
         raise ValueError("depth_cap must be nonnegative")
     invariant = model.time_invariant
     root = root_addr.root
-    frontier = [root_addr]
-    mult = 1
+    frontier = [(root_addr, 1)]
     for rel in range(depth_cap + 1):
-        if rel and invariant:
-            frontier = [child for addr in frontier for child in addr.spatial_children()]
-            mult = root.slab_count(root_addr.level + rel) // root.slab_count(root_addr.level)
-        elif rel:
-            frontier = [child for addr in frontier for child in addr.children()]
-        free: list[DyadicAddress] = []
-        rest: list[DyadicAddress] = []
+        if rel:
+            k = root.k_at(root_addr.level + rel - 1)
+            frontier = [(child, run * k) for addr, run in frontier
+                        for child in addr.spatial_children()]
+        free: list[tuple[DyadicAddress, int]] = []
+        rest: list[tuple[DyadicAddress, int]] = []
         unknown = False
-        for addr in frontier:
-            state = _freeness(model, addr)
+        stack = frontier[::-1]
+        while stack:
+            addr, run = stack.pop()
+            state = _freeness(model, addr, run)
             if state is Freeness.EMPTY:
-                free.append(addr)
-            else:
+                free.append((addr, run))
+            elif invariant or run == 1:
                 unknown |= state is Freeness.UNKNOWN
-                rest.append(addr)
-        free.sort(key=lambda a: (a.temporal, a.spatial))
-        yield free, mult, unknown, rest
+                rest.append((addr, run))
+            else:
+                half = run // 2
+                stack.append((DyadicAddress(root, addr.level, addr.spatial,
+                                            addr.temporal + half), run - half))
+                stack.append((addr, half))
+        yield free, unknown, rest
         frontier = rest
 
 
@@ -238,16 +246,17 @@ def maximal_hole(model: ClosedSetModel, root_addr: DyadicAddress,
                  depth_cap: int) -> HoleResult:
     """A free rectangle of maximal spatial side: the first free cell, by
     (temporal, spatial) index, of the first level of the search that has one
-    (on a time-invariant set, the first slab of the first free column).
+    (the first cell of the free run that comes first in that order).
 
     UNKNOWN rectangles count as non-free, which keeps the result a certified
     lower bound; ``unknown_present`` covers the levels down to the hole's.
     """
     unknown_present = False
-    for free, _mult, unknown, rest in _walk(model, root_addr, depth_cap):
+    for free, unknown, rest in _walk(model, root_addr, depth_cap):
         unknown_present |= unknown
         if free:
-            best = free[0]
+            best = min((addr for addr, _run in free),
+                       key=lambda a: (a.temporal, a.spatial))
             return HoleResult(best, best.measure_fraction(), best.l_x(),
                               depth_cap_hit=False, unknown_present=unknown_present)
     return HoleResult(None, Fraction(0), Fraction(0),
@@ -264,8 +273,8 @@ def _maximal_free(model: ClosedSetModel, root_addr: DyadicAddress,
                   depth_cap: int) -> FreeSearch:
     levels: list[_FreeLevel] = []
     unknown_levels: list[bool] = []
-    for free, mult, unknown, rest in _walk(model, root_addr, depth_cap):
-        levels.append(_FreeLevel(tuple(free), mult))
+    for free, unknown, rest in _walk(model, root_addr, depth_cap):
+        levels.append(_FreeLevel(free))
         unknown_levels.append(unknown)
     return _free_search(root_addr, levels, tuple(unknown_levels), bool(rest))
 

@@ -7,10 +7,16 @@ Every model is a nonempty closed subset of space-time with three queries:
 * ``dist_box_gap_span(box, p)`` -- the float pair (inf over the box closure
                                    of dist_p(., E), an upper bound on its sup)
 
+``meets_box`` must be monotone under inclusion: a box it answers EMPTY
+has no sub-box it answers otherwise.  The free search relies on that when
+it tests a run of slabs as one box and calls every slab of a missed run
+free.
+
 Each model class also declares ``time_invariant``: ``True`` when E is a
 product ``F x R`` (a spatial set crossed with the time axis), so that
 ``meets_box`` never reads the temporal bounds of its box.  The free search
-then tests one cell per spatial column and counts the column's slabs.
+then never splits a run of slabs that E meets: every slab of it would get
+the same verdict.
 
 The porosity side reads ``meets_box``; the weight integrator reads the gap
 and span, and ``sup_distance_bracket`` brackets the sup from the span and

@@ -143,6 +143,17 @@ def reference_maximal_hole(model, root_addr, depth_cap):
                       unknown_present=unknown_present)
 
 
+def reference_verify_disjoint(partition, admissible):
+    """``chains.verify_disjoint_from_admissible`` as a scan of every
+    (member, admissible rectangle) pair."""
+    for k in sorted(partition.groups):
+        for member in partition.groups[k]:
+            for adm in admissible.rectangles:
+                if member.intersects(adm):
+                    return False, (member, adm)
+    return True, None
+
+
 def halton(i: int, base: int) -> float:
     f, r = 1.0, 0.0
     while i > 0:

@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from parporo.chains import (ChainPlan, HoleCache, decay_check, doubling_chain,
-                            epsilon_max, interim_bound, stopping_partition,
+from parporo.chains import (ChainPlan, HoleCache, StoppingPartition, decay_check,
+                            doubling_chain, epsilon_max, interim_bound, stopping_partition,
                             stopping_time, verify_disjoint_from_admissible,
                             verify_nesting)
 from parporo.geometry import (DyadicAddress, Root, StoppingParams,
                               default_parameters, new_geometry)
-from parporo.porosity import (admissible_collection, complementary_collection,
-                              hole_of_translate)
+from parporo.porosity import (CollectionReport, admissible_collection,
+                              complementary_collection, hole_of_translate)
 from parporo.sets import PointCloud
+
+from oracles import reference_verify_disjoint
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +132,60 @@ def test_partition_negative_control(layered_setup):
     ok, pair = verify_disjoint_from_admissible(corrupted, adm)
     assert not ok
     assert pair[0].key() == bad_member.key()
+
+
+def _pair_keys(result):
+    ok, pair = result
+    return ok, pair and (pair[0].key(), pair[1].key())
+
+
+def test_disjointness_lookup_matches_the_pairwise_scan(layered_setup):
+    # planted members: an admissible rectangle itself, an ancestor of one,
+    # a descendant of one, and a complementary cell clear of all of them
+    g, root, params, cap, lam, adm, comp, part = layered_setup
+    from dataclasses import replace
+    assert _pair_keys(verify_disjoint_from_admissible(part, adm)) == (True, None)
+    assert _pair_keys(reference_verify_disjoint(part, adm)) == (True, None)
+    rng = random.Random(7)
+    deep = [a for a in adm.rectangles if a.level >= 2]
+    planted = [rng.choice(adm.rectangles), rng.choice(deep).parent(),
+               rng.choice(deep).ancestor(1), rng.choice(adm.rectangles).children()[5],
+               rng.choice(comp.rectangles)]
+    verdicts = []
+    for bad in planted:
+        for k in (1, 2, 3):
+            members = list(part.groups.get(k, ()))
+            members.insert(rng.randrange(len(members) + 1), bad)
+            corrupted = replace(part, groups={**part.groups, k: tuple(members)})
+            expected = _pair_keys(reference_verify_disjoint(corrupted, adm))
+            assert _pair_keys(verify_disjoint_from_admissible(corrupted, adm)) == expected
+            verdicts.append(expected[0])
+    assert verdicts == [False] * 12 + [True] * 3
+
+
+def test_disjointness_lookup_matches_the_pairwise_scan_on_random_cells(unit_root):
+    # random groups and admissible cells on levels 0-3, both verdicts
+    rng = random.Random(11)
+    base = unit_root.address()
+    params = default_parameters(unit_root.geom)
+
+    def cells(count):
+        out = []
+        for _ in range(count):
+            level = rng.randrange(4)
+            out.append(DyadicAddress(unit_root, level, (rng.randrange(1 << (2 * level)),),
+                                     rng.randrange(-2, unit_root.slab_count(level) + 2)))
+        return tuple(out)
+
+    verdicts = set()
+    for _ in range(300):
+        groups = {k: cells(rng.randrange(4)) for k in range(1, rng.randrange(2, 4))}
+        part = StoppingPartition(base, Fraction(1, 2), params, 3, (), groups, {}, {}, True)
+        adm = CollectionReport(base, cells(rng.randrange(6)), Fraction(0), Fraction(0))
+        expected = _pair_keys(reference_verify_disjoint(part, adm))
+        assert _pair_keys(verify_disjoint_from_admissible(part, adm)) == expected
+        verdicts.add(expected[0])
+    assert verdicts == {True, False}
 
 
 def test_proper_subset_law(layered_setup):

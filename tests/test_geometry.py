@@ -345,6 +345,31 @@ def test_realize_matches_exact_values_bit_for_bit(cells):
         assert _float_bits(fast) == _float_bits(exact_realize(addr))
 
 
+def _box_bits(box):
+    bounds, (t_lo, t_hi) = box
+    return [(lo.hex(), hi.hex()) for lo, hi in bounds], t_lo.hex(), t_hi.hex()
+
+
+@given(cells=lattice_cells(), runs=st.lists(st.integers(2, 48), min_size=6, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_run_box_spans_its_slabs(cells, runs):
+    # a one-slab run is the realized box bit for bit; a longer run spans its
+    # first slab's lower face to its last slab's upper face, and every
+    # slab's realized box lies inside it
+    for addr, run in zip(cells, runs):
+        p = addr.root.geom.p
+        assert _box_bits(addr.run_box(1)) == _box_bits(addr.realize().box(p))
+        bounds, (t_lo, t_hi) = addr.run_box(run)
+        slabs = [DyadicAddress(addr.root, addr.level, addr.spatial, addr.temporal + j)
+                 for j in range(run)]
+        assert t_lo.hex() == _box_bits(slabs[0].run_box(1))[1]
+        assert t_hi.hex() == _box_bits(slabs[-1].run_box(1))[2]
+        for slab in slabs:
+            slab_bounds, (s_lo, s_hi) = slab.realize().box(p)
+            assert slab_bounds == bounds
+            assert t_lo <= s_lo and s_hi <= t_hi
+
+
 def test_realize_on_warm_root_enters_no_mpmath(monkeypatch):
     geom = new_geometry(1, 1.5)  # non-integral 2^dp: the branch runs mpmath
     root = Root(geom, (Fraction(1, 3),), Fraction(1, 7), Fraction(3, 2), Fraction(1, 4))

@@ -15,7 +15,8 @@ from parporo.porosity import (HoleResult, admissible_collection, admissible_cut,
                               hole_esssup_bracket, hole_of_translate, maximal_hole,
                               porosity_curve, search_for_cuts)
 from parporo.sampling import SamplerConfig, draw_roots
-from parporo.sets import (Freeness, PointCloud, SpatialHyperplane, cantor_times_time,
+from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, PointCloud,
+                          SpatialHyperplane, cantor_times_time,
                           rectangle_free, single_point)
 
 
@@ -274,16 +275,18 @@ def test_hole_is_first_level_of_free_search(request, geom12, model, roots, caps)
 
 
 def _count_search_work(monkeypatch):
-    """Levels of the cells the kernel tests, and of the cells it subdivides
-    through ``children()`` and ``spatial_children()``."""
-    tested, expanded, columns = [], [], []
+    """Levels of the runs the kernel tests, and of the cells it subdivides
+    through ``children()`` and ``spatial_children()``; ``runs`` lists each
+    tested run as (spatial, temporal, slab count)."""
+    tested, expanded, columns, runs = [], [], [], []
     real_freeness = porosity._freeness
     real_children = DyadicAddress.children
     real_spatial = DyadicAddress.spatial_children
 
-    def counting_freeness(model, addr):
+    def counting_freeness(model, addr, run):
         tested.append(addr.level)
-        return real_freeness(model, addr)
+        runs.append((addr.spatial, addr.temporal, run))
+        return real_freeness(model, addr, run)
 
     def counting_children(addr):
         expanded.append(addr.level)
@@ -296,24 +299,28 @@ def _count_search_work(monkeypatch):
     monkeypatch.setattr(porosity, "_freeness", counting_freeness)
     monkeypatch.setattr(DyadicAddress, "children", counting_children)
     monkeypatch.setattr(DyadicAddress, "spatial_children", counting_spatial)
-    return tested, expanded, columns
+    return tested, expanded, columns, runs
 
 
 def test_maximal_hole_stops_at_the_hole_level(monkeypatch, unit_root, origin_point):
-    # a time-dependent set takes the full walk
-    cells = len(unit_root.address().children())
-    tested, expanded, columns = _count_search_work(monkeypatch)
+    # a time-dependent set: each level-1 column is one run of 16 slabs, and
+    # only the run holding the point (-0.5 lies on slab 8's lower face) is
+    # bisected, lower half first, down to single slabs
+    tested, expanded, columns, runs = _count_search_work(monkeypatch)
     hole = maximal_hole(origin_point, unit_root.address(), 3)
-    assert hole.address.level == 1
-    # the root and its children are tested; no level-1 cell is subdivided
-    assert expanded == [0] and columns == []
-    assert tested == [0] + [1] * cells
+    assert hole.address.key() == (1, (0,), 0)
+    # no level-1 cell is subdivided
+    assert columns == [0] and expanded == []
+    assert tested == [0] + [1] * 12
+    assert [r for r in runs if r[0] == (2,)] == [
+        ((2,), 0, 16), ((2,), 0, 8), ((2,), 8, 8), ((2,), 8, 4), ((2,), 8, 2),
+        ((2,), 8, 1), ((2,), 9, 1), ((2,), 10, 2), ((2,), 12, 4)]
 
 
 def test_maximal_hole_tests_one_cell_per_column(monkeypatch, unit_root, hyperplane):
     # a time-invariant set: one cell per spatial column, 4 level-1 columns
     # standing for 64 cells
-    tested, expanded, columns = _count_search_work(monkeypatch)
+    tested, expanded, columns, _runs = _count_search_work(monkeypatch)
     hole = maximal_hole(hyperplane, unit_root.address(), 3)
     assert hole.address.key() == (1, (0,), 0)
     assert columns == [0] and expanded == []
@@ -376,6 +383,106 @@ def test_column_search_matches_the_full_walk(case):
     ref = reference_maximal_free(model, base, cap)
     assert [a.key() for a in search.rectangles] == [a.key() for a in ref.members]
     assert len(search.rectangles) == len(ref.members)
+    assert search.level_counts == ref.level_counts
+    assert search.unknown_levels == ref.unknown_levels
+    assert search.depth_cap_hit == ref.depth_cap_hit
+    assert search.total_measure == ref.total_measure
+    assert maximal_hole(model, base, cap) == reference_maximal_hole(model, base, cap)
+
+
+def _exact_time(root, offset):
+    """The absolute time ``offset`` l_t(root) past the root's lower face,
+    worked out from the exact offset instead of a realized face."""
+    return root.t_lo_float() + float(offset) * root.l_t_root_float()
+
+
+@st.composite
+def dependent_searches(draw):
+    """A point cloud, box union or half space near a base at levels 0-2 with
+    its temporal index translated (negative ones included), and a search
+    cap.  Coordinates fall on lattice faces, worked out exactly or read off
+    a realized cell, or anywhere near the base."""
+    p = draw(st.sampled_from(sorted(QUOTIENT_GEOMS)))
+    g = QUOTIENT_GEOMS[p]
+    root = Root(g, (Fraction(draw(st.integers(-2, 6)), 4),),
+                Fraction(draw(st.integers(-8, 8)), 4),
+                draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)])),
+                Fraction(draw(st.integers(0, 8)), 16))
+    level = draw(st.integers(0, 2))
+    base = root.address(level, (draw(st.integers(0, (1 << (g.d * level)) - 1)),),
+                        draw(st.integers(-3, 20)))
+    (x_lo, x_hi), = base.spatial_intervals()
+    t_lo, t_hi = base.temporal_offsets()
+    kind = draw(st.sampled_from(["points", "boxes", "future", "past"]))
+    # a half space meets a whole band of cells: keep the band and the walk thin
+    cap = draw(st.integers(0, 2 if kind in ("future", "past") and p != 2.0 else 3))
+
+    def x_coord():
+        if draw(st.booleans()):
+            face = draw(st.integers(level, level + 3))
+            steps = draw(st.integers(0, 1 << (g.d * (face - level))))
+            return float(x_lo + steps * root.l_x_at(face))
+        margin = (x_hi - x_lo) / 8
+        return draw(st.floats(float(x_lo - margin), float(x_hi + margin)))
+
+    def t_coord(lo, hi):
+        """A time between offsets ``lo`` and ``hi`` (in l_t(root) units)."""
+        how = draw(st.sampled_from(["exact", "realized", "any"]))
+        if how == "any":
+            return draw(st.floats(_exact_time(root, lo), _exact_time(root, hi)))
+        face = level + draw(st.integers(0, 3))
+        K = root.slab_count(face)
+        slab = draw(st.integers(math.ceil(lo * K), math.floor(hi * K)))
+        if how == "exact":
+            return _exact_time(root, Fraction(slab, K))
+        return DyadicAddress(root, face, (0,), slab).realize().t_lo(p)
+
+    deep = Fraction(1, root.slab_count(level + cap))
+    if kind == "points":
+        around = (t_lo - deep, t_hi + deep)
+        model = PointCloud(tuple((x_coord(), t_coord(*around))
+                                 for _ in range(draw(st.integers(1, 4)))))
+    elif kind == "boxes":
+        boxes = []
+        for _ in range(draw(st.integers(1, 2))):
+            x = x_coord()
+            t = t_coord(t_lo - deep, t_hi + deep)
+            wide = float(root.l_x_at(level + 2)) * draw(st.integers(0, 2))
+            long = float(root.l_t_fraction_of(level + 2) * root.l_t_root_float()) \
+                * draw(st.integers(0, 2))
+            boxes.append((((x, x + wide),), (t, t + long)))
+        model = BoxUnion(tuple(boxes))
+    elif kind == "future":
+        model = HalfSpaceTime(t_coord(t_hi - 2 * deep, t_hi + deep), future=True)
+    else:
+        model = HalfSpaceTime(t_coord(t_lo - deep, t_lo + 2 * deep), future=False)
+    return model, base, cap
+
+
+def _past_through_a_face():
+    """E = {t <= t0} with t0 a level-2 face inside a translated level-1 base,
+    worked out from the exact offset."""
+    root = _root_at(1.5, Fraction(0), Fraction(1, 4))
+    base = root.address(1, (3,), -2)
+    t0 = _exact_time(root, Fraction(base.temporal * root.k_at(1) + 3, root.slab_count(2)))
+    return HalfSpaceTime(t0, future=False), base, 2
+
+
+@given(case=dependent_searches())
+@example(case=(PointCloud(((0.0, -0.5),)), _root_at(2.0, Fraction(0)).address(), 3))
+@example(case=_past_through_a_face())
+@example(case=(BoxUnion(((((0.25, 0.5),), (-0.5, -0.4375)),)),
+               _root_at(math.e, Fraction(1, 2)).address(), 3))
+@settings(max_examples=80, deadline=None)
+def test_run_search_matches_the_full_walk(case):
+    # slab runs on time-dependent sets: a run E misses is free slab by
+    # slab, and bisection finds the rest, so the walk keeps every member,
+    # count and flag of the full walk, faces that E touches included
+    model, base, cap = case
+    assert not model.time_invariant
+    search = porosity._maximal_free(model, base, cap)
+    ref = reference_maximal_free(model, base, cap)
+    assert [a.key() for a in search.rectangles] == [a.key() for a in ref.members]
     assert search.level_counts == ref.level_counts
     assert search.unknown_levels == ref.unknown_levels
     assert search.depth_cap_hit == ref.depth_cap_hit

@@ -350,3 +350,36 @@ def test_time_invariant_models_ignore_temporal_bounds(data, which, windows):
         bounds.append((lo, lo + data.draw(sides)))
     verdicts = {model.meets_box((tuple(bounds), window)) for window in windows}
     assert len(verdicts) == 1
+
+
+grid_coords = st.integers(-20, 12).map(lambda k: k / 8)
+
+
+def _sub_interval(draw, lo, hi):
+    """A subinterval of [lo, hi] whose ends are the interval's own ends,
+    eighths inside it, or floats anywhere inside it."""
+    def inner(a, b):
+        inside = [v / 8 for v in range(math.ceil(a * 8), math.floor(b * 8) + 1)]
+        return draw(st.one_of(st.just(a), st.just(b), st.floats(a, b),
+                              st.sampled_from(inside or [a])))
+    sub_lo = inner(lo, hi)
+    return sub_lo, inner(sub_lo, hi)
+
+
+@given(data=st.data(), which=st.integers(0, len(SPAN_MODELS) - 1))
+@settings(max_examples=600, deadline=None)
+def test_meets_box_is_monotone_under_inclusion(data, which):
+    # the contract the run search relies on: a box E misses has no sub-box
+    # E meets; faces fall on eighths, so they often touch the sets' points,
+    # box faces and planes
+    model, n, _exact = SPAN_MODELS[which]
+    bounds = []
+    for _ in range(n):
+        lo = data.draw(grid_coords)
+        bounds.append((lo, lo + data.draw(st.integers(0, 12)) / 8))
+    t_lo = data.draw(grid_coords)
+    box = (tuple(bounds), (t_lo, t_lo + data.draw(st.integers(0, 12)) / 8))
+    sub = (tuple(_sub_interval(data.draw, lo, hi) for lo, hi in bounds),
+           _sub_interval(data.draw, *box[1]))
+    if model.meets_box(box) is Freeness.EMPTY:
+        assert model.meets_box(sub) is Freeness.EMPTY
