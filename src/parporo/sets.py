@@ -1,11 +1,15 @@
 """Closed-set models with parabolic distance oracles and freeness tests.
 
-Every model is a nonempty closed subset of space-time with three queries:
+Every model is a nonempty closed subset of space-time with four queries:
 
 * ``meets_box(box)``            -- does E intersect the half-open box?
 * ``distance(pt, p)``           -- certified bracket on dist_p(pt, E)
 * ``dist_box_gap_span(box, p)`` -- the float pair (inf over the box closure
                                    of dist_p(., E), an upper bound on its sup)
+* ``cell_weight(box, q, p)``    -- ``(lo, hi, diverged, lower_only)`` for the
+                                   integral of dist_p(., E)^(-q) over the box
+
+This module is the only one that knows a model's geometry.
 
 ``meets_box`` must be monotone under inclusion: a box it answers EMPTY
 has no sub-box it answers otherwise.  The free search relies on that when
@@ -18,12 +22,12 @@ product ``F x R`` (a spatial set crossed with the time axis), so that
 then never splits a run of slabs that E meets: every slab of it would get
 the same verdict.
 
-The porosity side reads ``meets_box``; the weight integrator reads the gap
-and span, and ``sup_distance_bracket`` brackets the sup from the span and
-``distance`` at probe points.  The first four variants answer everything
-exactly; the iterated-function-system variant works through conservative
-bounding boxes under a recursion cap and reports ``UNKNOWN`` rather than
-guessing.
+The porosity side reads ``meets_box``; the weight integrator reads
+``cell_weight``, and ``sup_distance_bracket`` brackets the sup from the
+span and ``distance`` at probe points.  The first four variants answer
+everything exactly.  The iterated-function-system variant walks cylinders
+``f_w``, whose children ``f_w o f_i`` lie inside them, under a recursion
+cap, and reports ``UNKNOWN`` rather than guessing.
 """
 
 from __future__ import annotations
@@ -37,11 +41,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import ParabolicRectangle
-from .intervals import Interval
+from .intervals import Interval, _down, _up
 
 Point = tuple[float, ...]
 AxisBounds = tuple[tuple[float, float], ...]
 Box = tuple[AxisBounds, tuple[float, float]]
+# (lo, hi, diverged, lower_only) for the weight integral over one cell
+CellWeight = tuple[float, float, bool, bool]
 
 
 class Freeness(Enum):
@@ -88,6 +94,54 @@ def _interval_span(alo: float, ahi: float, blo: float, bhi: float) -> float:
 def _halfopen_meets_closed(alo: float, ahi: float, blo: float, bhi: float) -> bool:
     """[alo, ahi) against [blo, bhi]."""
     return blo < ahi and bhi >= alo
+
+
+# ---------------------------------------------------------------------------
+# cell weights: bounds on the integral of dist_p(., E)^(-q) over one box
+# ---------------------------------------------------------------------------
+
+
+def _box_measure(box: Box) -> float:
+    bounds, (tlo, thi) = box
+    m = thi - tlo
+    for lo, hi in bounds:
+        m *= hi - lo
+    return m
+
+
+def _pow_neg(base: float, q: float) -> float:
+    if base == 0.0:
+        return math.inf
+    return base ** (-q)
+
+
+def _primitive_abs(u: float, q: float) -> float:
+    """Antiderivative ``sign(u) F(|u|)`` of |u|^(-q) on either side of the
+    origin, with ``F(r) = r^(1-q) / (1-q)`` (``log r`` at q = 1); it passes
+    through the origin for q < 1."""
+    r = abs(u)
+    f = math.log(r) if q == 1.0 else r ** (1.0 - q) / (1.0 - q)
+    return math.copysign(1.0, u) * f
+
+
+def _around_product(a: float, b: float) -> tuple[float, float]:
+    """``Interval.around(a) * Interval.around(b)`` as a float pair."""
+    alo, ahi, blo, bhi = _down(a), _up(a), _down(b), _up(b)
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return _down(min(products)), _up(max(products))
+
+
+def _gap_span_weight(box: Box, q: float, inf_lo: float, sup_hi: float,
+                     diverged: bool = False) -> CellWeight:
+    """The cell weight from the distance bracket alone: ``|box| dist^(-q)``
+    at the sup below and at the inf above.  A box that touches E gets an
+    infinite upper bound, flagged ``diverged`` when the model says the
+    integral is infinite there and lower-only otherwise."""
+    measure = _box_measure(box)
+    lo = measure * _pow_neg(sup_hi, q) if sup_hi > 0 else 0.0
+    if inf_lo > 0.0:
+        return lo, measure * _pow_neg(inf_lo, q), False, False
+    return lo, math.inf, diverged, not diverged
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +222,38 @@ class PointCloud:
         """(inf over box of dist, an upper bound on sup over box of dist)."""
         gaps, spans = self._gap_span_arrays(box, p)
         return float(min(gaps)), float(min(spans))
+
+    def cell_weight(self, box: Box, q: float, p: float) -> CellWeight:
+        """The gap/span bound, closed on a cell that touches a point by the
+        layer-cake bound, a sum of per-point bounds valid for q < n + p.
+
+        It uses ``|{dist_p(., z) <= r}| = 2^(n+1) r^(n+p)`` twice: the plain
+        ball integral up to the cell's sup distance, and the sharper variant
+        with layer measures clipped at |cell|; the minimum of the two is
+        sound.
+        """
+        n = len(box[0])
+        s = n + p
+        gaps, spans = self._gap_span_arrays(box, p)
+        inf_lo = float(min(gaps))
+        cell = _gap_span_weight(box, q, inf_lo, float(min(spans)), diverged=q >= s)
+        if inf_lo > 0.0 or q >= s:
+            return cell
+        lo = cell[0]
+        factor = s / (s - q)
+        ball = 2.0 ** (n + 1)
+        measure = _box_measure(box)
+        clipped = measure ** (1.0 - q / s) * ball ** (q / s) * factor
+        near_total = 0.0
+        far_gap = math.inf
+        for g, sp in zip(gaps, spans):
+            if g > 0.0:
+                far_gap = min(far_gap, float(g))
+            else:
+                near_total += min(ball * factor * float(sp) ** (s - q), clipped)
+        far_part = 0.0 if math.isinf(far_gap) else measure * _pow_neg(far_gap, q)
+        hi = near_total + far_part
+        return min(lo, hi), hi, False, False
 
     def _box_range_single(self, z: Point, box: Box, p: float) -> tuple[float, float]:
         bounds, (tlo, thi) = box
@@ -262,6 +348,11 @@ class BoxUnion:
         singles = [self._box_range_single(b, box, p) for b in self.boxes]
         return min(s[0] for s in singles), min(s[1] for s in singles)
 
+    def cell_weight(self, box: Box, q: float, p: float) -> CellWeight:
+        # a cell that touches a solid box meets E in positive measure
+        return _gap_span_weight(box, q, *self.dist_box_gap_span(box, p),
+                                diverged=not self.is_null)
+
     def meets_box(self, box: Box) -> Freeness:
         qbounds, (qtlo, qthi) = box
         for ebounds, (etlo, ethi) in self.boxes:
@@ -308,6 +399,25 @@ class HalfSpaceTime:
             inf_g, sup_g = max(0.0, tlo - self.t0), max(0.0, thi - self.t0)
         return inf_g ** inv, sup_g ** inv
 
+    def cell_weight(self, box: Box, q: float, p: float) -> CellWeight:
+        """The time antiderivative of the gap^(-q/p) times the spatial measure."""
+        bounds, (tlo, thi) = box
+        cross = 1.0
+        for lo, hi in bounds:
+            cross *= hi - lo
+        s = q / p
+        gap_lo = (self.t0 - thi) if self.future else (tlo - self.t0)
+        gap_hi = (self.t0 - tlo) if self.future else (thi - self.t0)
+        if gap_hi <= 0 or gap_lo < 0 or (gap_lo == 0.0 and s >= 1.0):
+            # inside E or straddling its face (infinite weight on positive
+            # measure), or a non-integrable singularity on the face
+            return 0.0, math.inf, True, False
+        if s == 1.0:
+            line = math.log(gap_hi) - math.log(gap_lo)
+        else:
+            line = (gap_hi ** (1.0 - s) - gap_lo ** (1.0 - s)) / (1.0 - s)
+        return (*_around_product(max(line, 0.0), cross), False, False)
+
     def meets_box(self, box: Box) -> Freeness:
         _, (tlo, thi) = box
         hit = self.t0 < thi if self.future else self.t0 >= tlo
@@ -339,6 +449,21 @@ class SpatialHyperplane:
         bounds, _ = box
         lo, hi = bounds[self.axis]
         return _axis_gap(lo, hi, self.value), _axis_span(lo, hi, self.value)
+
+    def cell_weight(self, box: Box, q: float, p: float) -> CellWeight:
+        """The antiderivative of |x_axis - value|^(-q) times the other sides."""
+        bounds, (tlo, thi) = box
+        lo, hi = bounds[self.axis]
+        if q >= 1.0 and lo <= self.value <= hi:
+            # genuinely divergent across the plane
+            _, sup_hi = self.dist_box_gap_span(box, p)
+            return _box_measure(box) * _pow_neg(sup_hi, q), math.inf, True, False
+        cross = thi - tlo
+        for j, (blo, bhi) in enumerate(bounds):
+            if j != self.axis:
+                cross *= bhi - blo
+        line = _primitive_abs(hi - self.value, q) - _primitive_abs(lo - self.value, q)
+        return (*_around_product(max(line, 0.0), cross), False, False)
 
     def meets_box(self, box: Box) -> Freeness:
         bounds, _ = box
@@ -372,9 +497,13 @@ _IFS_NODE_BUDGET = 50000
 class IFSFractal:
     """Product ``(spatial attractor) x R_t`` of contracting affine maps.
 
-    E.g. the 1/3-Cantor set crossed with the time axis.  Queries refine
-    cylinder bounding boxes down to ``depth_cap`` and report three-valued
-    freeness; distance brackets widen instead of failing silently.
+    E.g. the 1/3-Cantor set crossed with the time axis.  A cylinder of the
+    word ``w`` is the affine map ``f_w = (ratio, shift)``; its children are
+    ``f_w o f_i``, so each lies inside its parent, and its cell (the image
+    of the root box) and its witness (the image of the first map's fixed
+    point, an attractor point) are read off the map directly.  All three
+    queries walk these cylinders down to ``depth_cap``: freeness is
+    three-valued and distance brackets widen instead of failing silently.
     """
 
     maps: tuple[IFSMap, ...]
@@ -401,7 +530,9 @@ class IFSFractal:
             if nxt == box:
                 break
             box = nxt
+        m0 = self.maps[0]
         object.__setattr__(self, "_box", tuple(box))
+        object.__setattr__(self, "_fixed", tuple(s / (1.0 - m0.ratio) for s in m0.shift))
 
     @property
     def is_null(self) -> bool:
@@ -412,101 +543,78 @@ class IFSFractal:
     def n(self) -> int:
         return len(self.maps[0].shift)
 
-    def _root_box(self) -> tuple[tuple[float, float], ...]:
-        """Per-axis interval invariant under the union of the maps."""
-        return self._box
+    def _children(self, ratio: float, shift: tuple[float, ...]):
+        """The cylinders ``f_w o f_i`` below the cylinder ``f_w = (ratio, shift)``."""
+        return [(ratio * m.ratio, tuple(s + ratio * ms for s, ms in zip(shift, m.shift)))
+                for m in self.maps]
 
-    def _apply(self, m: IFSMap, box: tuple[tuple[float, float], ...]):
-        return tuple((m.ratio * lo + m.shift[j], m.ratio * hi + m.shift[j])
-                     for j, (lo, hi) in enumerate(box))
-
-    def _witness(self, word: tuple[int, ...]) -> tuple[float, ...]:
-        """An exact attractor point: image of the first map's fixed point."""
-        m0 = self.maps[0]
-        pt = tuple(s / (1.0 - m0.ratio) for s in m0.shift)
-        for idx in reversed(word):
-            m = self.maps[idx]
-            pt = tuple(m.ratio * v + m.shift[j] for j, v in enumerate(pt))
-        return pt
-
-    def _spatial_gap(self, bounds, cell) -> float:
-        return max((_interval_gap(qlo, qhi, clo, chi)
-                    for (qlo, qhi), (clo, chi) in zip(bounds, cell)), default=0.0)
+    def _inf_bracket(self, bounds: AxisBounds) -> tuple[float, float]:
+        """Bracket on the spatial gap from the closed box ``bounds`` to the
+        attractor: below, the smallest cylinder gap; above, the smaller of
+        the witness gaps and a cylinder's gap plus its diameter.  Cylinders
+        farther than the upper bound are pruned."""
+        diam = max((hi - lo for lo, hi in self._box), default=0.0)
+        frontier = [(1.0, (0.0,) * self.n)]
+        above = math.inf
+        for depth in range(self.depth_cap + 1):
+            below = math.inf
+            gaps = []
+            for ratio, shift in frontier:
+                gap = max((_interval_gap(qlo, qhi, ratio * lo + s, ratio * hi + s)
+                           for (qlo, qhi), (lo, hi), s in zip(bounds, self._box, shift)),
+                          default=0.0)
+                seen = max((_axis_gap(qlo, qhi, ratio * v + s)
+                            for (qlo, qhi), v, s in zip(bounds, self._fixed, shift)),
+                           default=0.0)
+                below = min(below, gap)
+                above = min(above, seen, gap + ratio * diam)
+                gaps.append(gap)
+            if above - below <= _IFS_TOL * max(1.0, above) or depth == self.depth_cap:
+                break
+            frontier = [child for (ratio, shift), gap in zip(frontier, gaps) if gap <= above
+                        for child in self._children(ratio, shift)]
+        return min(below, above), above
 
     def distance(self, pt: Sequence[float], p: float) -> Interval:
-        x = tuple(pt[:-1])
-        best_hi = math.inf
-        frontier = [((), self._root_box())]
-        for depth in range(self.depth_cap + 1):
-            nxt = []
-            best_lo = math.inf
-            for word, cell in frontier:
-                gap = max((_axis_gap(lo, hi, v) for (lo, hi), v in zip(cell, x)),
-                          default=0.0)
-                diam = max(hi - lo for lo, hi in cell) if cell else 0.0
-                best_lo = min(best_lo, gap)
-                w = self._witness(word)
-                best_hi = min(best_hi, max((abs(a - b) for a, b in zip(w, x)), default=0.0))
-                best_hi = min(best_hi, gap + diam)
-                nxt.append((word, cell, gap))
-            if best_hi - best_lo <= _IFS_TOL * max(1.0, best_hi) or depth == self.depth_cap:
-                return Interval(min(best_lo, best_hi), best_hi)
-            cutoff = best_hi
-            frontier = [
-                ((*word, i), self._apply(m, cell))
-                for word, cell, gap in nxt if gap <= cutoff
-                for i, m in enumerate(self.maps)
-            ]
-        return Interval(min(best_lo, best_hi), best_hi)
+        return Interval(*self._inf_bracket(tuple((v, v) for v in pt[:-1])))
 
     def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
         bounds, _ = box
-        # inf: gap to the deepest refinement that still might matter
-        frontier = [self._root_box()]
-        inf_lo = 0.0
-        for depth in range(self.depth_cap + 1):
-            gaps = [self._spatial_gap(bounds, cell) for cell in frontier]
-            diam = max(max(hi - lo for lo, hi in cell) for cell in frontier)
-            inf_lo = min(gaps)
-            inf_hi = min(g + diam for g in gaps)
-            if inf_hi - inf_lo <= _IFS_TOL * max(1.0, inf_hi) or depth == self.depth_cap:
-                break
-            cutoff = inf_hi
-            frontier = [self._apply(m, cell)
-                        for cell, g in zip(frontier, gaps) if g <= cutoff
-                        for m in self.maps]
         # sup: E lies in the root box, so no box point is farther from E than
         # its span to the root box's center plus half the root's widest side
-        root = self._root_box()
         sup_hi = max((_axis_span(qlo, qhi, (rl + rh) / 2)
-                      for (qlo, qhi), (rl, rh) in zip(bounds, root)), default=0.0)
-        return inf_lo, sup_hi + max(rh - rl for rl, rh in root) / 2
+                      for (qlo, qhi), (rl, rh) in zip(bounds, self._box)), default=0.0)
+        return (self._inf_bracket(bounds)[0],
+                sup_hi + max(rh - rl for rl, rh in self._box) / 2)
 
     def meets_box(self, box: Box) -> Freeness:
         bounds, _ = box
         if any(hi <= lo for lo, hi in bounds):
             return Freeness.EMPTY
-        stack = [((), self._root_box())]
+        stack = [(0, 1.0, (0.0,) * self.n)]
         depth_limited = False
         visited = 0
         while stack:
             visited += 1
             if visited > _IFS_NODE_BUDGET:
                 return Freeness.UNKNOWN
-            word, cell = stack.pop()
-            # open overlap test per axis: [qlo, qhi) against closed cell
-            if not all(_halfopen_meets_closed(qlo, qhi, clo, chi)
-                       for (qlo, qhi), (clo, chi) in zip(bounds, cell)):
+            depth, ratio, shift = stack.pop()
+            # open overlap test per axis: [qlo, qhi) against the closed cell
+            if not all(_halfopen_meets_closed(qlo, qhi, ratio * lo + s, ratio * hi + s)
+                       for (qlo, qhi), (lo, hi), s in zip(bounds, self._box, shift)):
                 continue
-            w = self._witness(word)
-            if all(qlo <= v < qhi for (qlo, qhi), v in zip(bounds, w)):
+            if all(qlo <= ratio * v + s < qhi
+                   for (qlo, qhi), v, s in zip(bounds, self._fixed, shift)):
                 return Freeness.NONEMPTY
-            if len(word) >= self.depth_cap:
+            if depth >= self.depth_cap:
                 depth_limited = True
                 continue
-            for i, m in enumerate(self.maps):
-                stack.append(((*word, i), self._apply(m, cell)))
+            stack += ((depth + 1, *child) for child in self._children(ratio, shift))
         return Freeness.UNKNOWN if depth_limited else Freeness.EMPTY
+
+    def cell_weight(self, box: Box, q: float, p: float) -> CellWeight:
+        # no singular closure yet: a cell that touches E is a lower bound
+        return _gap_span_weight(box, q, *self.dist_box_gap_span(box, p))
 
     def to_json(self) -> dict:
         from .serialize import number_str

@@ -1,12 +1,13 @@
 """Certified integration of parabolic distance weights and A1-type ratios.
 
 The weight is ``dist_p(., E)^(-q)`` with ``q = beta*(n+p)``.  Integrals are
-bracketed by adaptive box subdivision: on a cell at positive distance the
-integrand is monotone in the distance bracket; on cells touching E the
-upper bound is closed with model-specific formulas (one-dimensional
-antiderivatives for hyperplanes and temporal half spaces, a parabolic-ball
-layer-cake bound for point clouds).  Where no closure exists the result is
-a flagged lower bound, never a silent guess.
+bracketed by adaptive box subdivision.  Each cell is bounded by the model's
+own ``cell_weight`` (see ``sets``): closed forms for hyperplanes and
+temporal half spaces, a parabolic-ball layer-cake bound where a cell
+touches a point cloud, and otherwise the distance bracket, monotone in the
+integrand on a cell at positive distance.  Where no closure exists (a cell
+that touches the IFS attractor) the result is a flagged lower bound, never
+a silent guess; this module knows no model class.
 
 Cells travel through the refinement as plain float pairs ``(lo, hi)``
 that every cell bound checks for NaN and order; ``Interval`` objects are
@@ -18,13 +19,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .geometry import ParabolicRectangle, Root
-from .intervals import Interval, _down, _up, interval_sum
+from .intervals import Interval, interval_sum
 from .sampling import run_indexed
-from .sets import (Box, BoxUnion, ClosedSetModel, HalfSpaceTime, PointCloud,
-                   SpatialHyperplane, sup_distance_bracket)
+from .sets import Box, ClosedSetModel, _split_box, sup_distance_bracket
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,6 @@ class IntegrationResult:
         return math.isfinite(self.value.hi)
 
 
-def _box_measure(box: Box) -> float:
-    bounds, (tlo, thi) = box
-    m = thi - tlo
-    for lo, hi in bounds:
-        m *= hi - lo
-    return m
-
-
 def _finite_box(rect: ParabolicRectangle, p: float) -> Box:
     """The rectangle's box, refused unless every bound is finite: the
     distance bounds of sub-boxes assume finite faces."""
@@ -84,140 +76,15 @@ def _finite_box(rect: ParabolicRectangle, p: float) -> Box:
     return box
 
 
-def _pow_neg(base: float, q: float) -> float:
-    if base == 0.0:
-        return math.inf
-    return base ** (-q)
-
-
-# ---------------------------------------------------------------------------
-# per-cell bounds
-# ---------------------------------------------------------------------------
-
-
-def _primitive_abs(u: float, q: float) -> float:
-    """Antiderivative ``sign(u) F(|u|)`` of |u|^(-q) on either side of the
-    origin, with ``F(r) = r^(1-q) / (1-q)`` (``log r`` at q = 1); it passes
-    through the origin for q < 1."""
-    r = abs(u)
-    f = math.log(r) if q == 1.0 else r ** (1.0 - q) / (1.0 - q)
-    return math.copysign(1.0, u) * f
-
-
-def _around_product(a: float, b: float) -> tuple[float, float]:
-    """``Interval.around(a) * Interval.around(b)`` as a float pair."""
-    alo, ahi, blo, bhi = _down(a), _up(a), _down(b), _up(b)
-    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return _down(min(products)), _up(max(products))
-
-
-def _cell_exact_hyperplane(model: SpatialHyperplane, box: Box, q: float
-                           ) -> Optional[tuple[float, float]]:
-    bounds, (tlo, thi) = box
-    lo, hi = bounds[model.axis]
-    touches = lo <= model.value <= hi
-    if q >= 1.0 and touches:
-        return None  # genuinely divergent across the plane
-    cross = thi - tlo
-    for j, (blo, bhi) in enumerate(bounds):
-        if j != model.axis:
-            cross *= bhi - blo
-    ulo, uhi = lo - model.value, hi - model.value
-    line = _primitive_abs(uhi, q) - _primitive_abs(ulo, q)
-    return _around_product(max(line, 0.0), cross)
-
-
-def _cell_exact_halfspace(model: HalfSpaceTime, box: Box, q: float, p: float
-                          ) -> Optional[tuple[float, float]]:
-    bounds, (tlo, thi) = box
-    cross = 1.0
-    for lo, hi in bounds:
-        cross *= hi - lo
-    s = q / p
-    gap_lo = (model.t0 - thi) if model.future else (tlo - model.t0)
-    gap_hi = (model.t0 - tlo) if model.future else (thi - model.t0)
-    if gap_hi <= 0:
-        return None  # cell inside E: infinite weight on positive measure
-    if gap_lo < 0:
-        return None  # straddles the face: positive-measure intersection with E
-    if gap_lo == 0.0 and s >= 1.0:
-        return None  # non-integrable singularity on the face
-    if s == 1.0:
-        line = math.log(gap_hi) - math.log(gap_lo)
-    else:
-        line = (gap_hi ** (1.0 - s) - gap_lo ** (1.0 - s)) / (1.0 - s)
-    return _around_product(max(line, 0.0), cross)
-
-
-def _pointcloud_singular_upper(model: PointCloud, box: Box, q: float, p: float,
-                               n: int) -> Optional[float]:
-    """Layer-cake closure: sum of per-point bounds, valid for q < n + p.
-
-    Uses ``|{dist_p(., z) <= r}| = 2^(n+1) r^(n+p)`` twice: the plain ball
-    integral up to the cell's sup distance, and the sharper variant with
-    layer measures clipped at |cell|; the minimum of the two is sound.
-    """
-    if q >= n + p:
-        return None
-    s = n + p
-    factor = s / (s - q)
-    measure = _box_measure(box)
-    gaps, spans = model._gap_span_arrays(box, p)
-    clipped = measure ** (1.0 - q / s) * (2.0 ** (n + 1)) ** (q / s) * factor
-    near_total = 0.0
-    far_gap = math.inf
-    for g, sp in zip(gaps, spans):
-        if g > 0.0:
-            far_gap = min(far_gap, float(g))
-        else:
-            ball = (2.0 ** (n + 1)) * factor * float(sp) ** (s - q)
-            near_total += min(ball, clipped)
-    far_part = 0.0 if math.isinf(far_gap) else measure * _pow_neg(far_gap, q)
-    return near_total + far_part
-
-
 def _bound_cell(model: ClosedSetModel, box: Box, spec: WeightSpec
                 ) -> tuple[float, float, bool, bool]:
-    """``(lo, hi, diverged, lower_only)`` for the integral over one cell.
+    """``(lo, hi, diverged, lower_only)`` for the integral over one cell,
+    as the model's ``cell_weight`` gives it.
 
     Raises ``ValueError`` on a NaN endpoint or ``lo > hi``, as an
     ``Interval`` would.
     """
-    q = spec.q
-    p = spec.p
-    diverged = lower_only = False
-    if isinstance(model, SpatialHyperplane):
-        exact = _cell_exact_hyperplane(model, box, q)
-        if exact is not None:
-            lo, hi = exact
-        else:
-            _, sup_hi = model.dist_box_gap_span(box, p)
-            lo, hi, diverged = _box_measure(box) * _pow_neg(sup_hi, q), math.inf, True
-    elif isinstance(model, HalfSpaceTime):
-        exact = _cell_exact_halfspace(model, box, q, p)
-        if exact is not None:
-            lo, hi = exact
-        else:
-            # straddling or inside the half space, or a non-integrable face
-            # singularity: the integral is genuinely infinite
-            lo, hi, diverged = 0.0, math.inf, True
-    else:
-        inf_lo, sup_hi = model.dist_box_gap_span(box, p)
-        measure = _box_measure(box)
-        lo = measure * _pow_neg(sup_hi, q) if sup_hi > 0 else 0.0
-        if inf_lo > 0.0:
-            hi = measure * _pow_neg(inf_lo, q)
-        elif isinstance(model, PointCloud):
-            # cell touches E
-            hi = _pointcloud_singular_upper(model, box, q, p, spec.n)
-            if hi is None:
-                hi, diverged = math.inf, True
-            else:
-                lo = min(lo, hi)
-        else:
-            hi = math.inf
-            diverged = isinstance(model, BoxUnion) and not model.is_null
-            lower_only = not diverged
+    lo, hi, diverged, lower_only = model.cell_weight(box, spec.q, spec.p)
     if not lo <= hi:
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError("interval endpoints must not be NaN")
@@ -244,7 +111,6 @@ def integrate_weight(model: ClosedSetModel, rect: ParabolicRectangle,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    from .sets import _split_box
 
     p = spec.p
     heap: list[tuple[float, int, Box, float, float]] = []

@@ -5,6 +5,8 @@ every address level by level and re-derive maximality directly from the
 definitions.
 """
 
+import bisect
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -14,10 +16,10 @@ from parporo.geometry import ParabolicRectangle
 from parporo.intervals import Interval, interval_sum
 from parporo.porosity import HoleResult
 from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal, PointCloud,
-                          SpatialHyperplane, _axis_gap, _axis_span, _box_probe_points,
-                          _split_box, rectangle_free)
-from parporo.weights import (IntegrationResult, _box_measure, _pow_neg,
-                             _pointcloud_singular_upper, _primitive_abs)
+                          SpatialHyperplane, _axis_gap, _axis_span, _box_measure,
+                          _box_probe_points, _pow_neg, _primitive_abs, _split_box,
+                          rectangle_free)
+from parporo.weights import IntegrationResult
 
 
 def exact_realize(addr):
@@ -181,12 +183,11 @@ def halton_array(count: int, base: int):
 # ---------------------------------------------------------------------------
 
 
-def _reference_gap_span(model, box, p):
-    """``PointCloud.dist_box_gap_span`` with per-point generator maxima for
+def _reference_gaps_spans(model, box, p):
+    """Per-point ``(gaps, spans)`` of a point cloud: generator maxima for
     small clouds; large clouds go through the model's numpy arrays."""
     if len(model.points) > 12:
-        gaps, spans = model._gap_span_arrays(box, p)
-        return float(min(gaps)), float(min(spans))
+        return model._gap_span_arrays(box, p)
     bounds, (tlo, thi) = box
     inv = 1.0 / p
     gaps, spans = [], []
@@ -197,17 +198,66 @@ def _reference_gap_span(model, box, p):
                      default=0.0)
         gaps.append(max(inf_sp, _axis_gap(tlo, thi, zt) ** inv))
         spans.append(max(sup_sp, _axis_span(tlo, thi, zt) ** inv))
+    return gaps, spans
+
+
+def _reference_gap_span(model, box, p):
+    gaps, spans = _reference_gaps_spans(model, box, p)
     return float(min(gaps)), float(min(spans))
+
+
+@functools.lru_cache(maxsize=None)
+def exact_cylinders(model, depth=10):
+    """The ``2^depth`` cylinders of a one-dimensional IFS model, worked out
+    in ``Fraction``s of the model's own float coefficients: the sorted cells
+    ``f_w(hull)`` (the hull of the attractor runs between the smallest and
+    the largest fixed point) and the sorted attractor points ``f_w(z)``,
+    ``z`` the first map's fixed point (0 for the Cantor maps).  Cells and
+    points are both lists of closed intervals."""
+    maps = [(Fraction(m.ratio), Fraction(m.shift[0])) for m in model.maps]
+    fixed = [s / (1 - r) for r, s in maps]
+    words = [(Fraction(1), Fraction(0))]
+    for _ in range(depth):
+        words = [(r * mr, r * ms + s) for r, s in words for mr, ms in maps]
+    cells = sorted((r * min(fixed) + s, r * max(fixed) + s) for r, s in words)
+    return cells, [(x, x) for x in sorted(r * fixed[0] + s for r, s in words)]
+
+
+def exact_gap(intervals, a, b):
+    """Exact distance between ``[a, b]`` and the union of sorted disjoint
+    closed intervals."""
+    i = bisect.bisect_right(intervals, (b, math.inf))
+    left = a - intervals[i - 1][1] if i else math.inf
+    right = intervals[i][0] - b if i < len(intervals) else math.inf
+    return max(0, min(left, right))
+
+
+def exact_sup(intervals, a, b):
+    """Exact sup over ``[a, b]`` of the distance to the union of sorted
+    disjoint closed intervals: at an end of ``[a, b]`` or at the middle of
+    a gap between two intervals, clipped to ``[a, b]``."""
+    xs = [a, b]
+    for (_, h), (l, _) in zip(intervals, intervals[1:]):
+        if h < b and l > a:
+            xs.append(min(max((h + l) / 2, a), b))
+    return max(exact_gap(intervals, x, x) for x in xs)
 
 
 def reference_dist_box_range(model, box, p):
     """Certified ``(inf, sup)`` brackets of dist_p(., E) over the box closure,
     worked out per model: closed forms for the half spaces and the
     hyperplane; for clouds and box unions the inf and the span, with the
-    farthest probe point as the sup's lower witness; for the IFS a refined
-    inf and a sup between the probe points and a root-box bound."""
+    farthest probe point as the sup's lower witness.  For a one-dimensional
+    IFS both are exact ``Fraction`` pairs from ``exact_cylinders``: the
+    distance to the cells (which cover E) below, the distance to the points
+    (which lie in E) above."""
     bounds, (tlo, thi) = box
     inv = 1.0 / p
+    if isinstance(model, IFSFractal):
+        (a, b), = ((Fraction(lo), Fraction(hi)) for lo, hi in bounds)
+        cells, points = exact_cylinders(model)
+        return ((exact_gap(cells, a, b), exact_gap(points, a, b)),
+                (exact_sup(cells, a, b), exact_sup(points, a, b)))
     if isinstance(model, HalfSpaceTime):
         if model.future:
             inf_g, sup_g = max(0.0, model.t0 - thi), max(0.0, model.t0 - tlo)
@@ -219,26 +269,6 @@ def reference_dist_box_range(model, box, p):
         return (Interval.point(_axis_gap(lo, hi, model.value)),
                 Interval.point(_axis_span(lo, hi, model.value)))
     sup_lo = max(model.distance(pt, p).lo for pt in _box_probe_points(box))
-    if isinstance(model, IFSFractal):
-        frontier = [model._root_box()]
-        inf_lo, inf_hi = 0.0, math.inf
-        for depth in range(model.depth_cap + 1):
-            gaps = [model._spatial_gap(bounds, cell) for cell in frontier]
-            diam = max(max(hi - lo for lo, hi in cell) for cell in frontier)
-            inf_lo = min(gaps)
-            inf_hi = min(g + diam for g in gaps)
-            if inf_hi - inf_lo <= 1e-12 * max(1.0, inf_hi) or depth == model.depth_cap:
-                break
-            frontier = [model._apply(m, cell)
-                        for cell, g in zip(frontier, gaps) if g <= inf_hi
-                        for m in model.maps]
-        root = model._root_box()
-        sup_hi = max(
-            max((_axis_span(qlo, qhi, c) for (qlo, qhi), c in
-                 zip(bounds, ((rl + rh) / 2 for rl, rh in root))), default=0.0),
-            sup_lo)
-        sup_hi += max(rh - rl for rl, rh in root) / 2
-        return Interval(inf_lo, inf_hi), Interval(sup_lo, sup_hi)
     if isinstance(model, PointCloud):
         inf, sup_hi = _reference_gap_span(model, box, p)
     else:
@@ -258,6 +288,24 @@ def _reference_hyperplane(model, box, q):
             cross *= bhi - blo
     line = _primitive_abs(hi - model.value, q) - _primitive_abs(lo - model.value, q)
     return Interval.around(max(line, 0.0)) * Interval.around(cross)
+
+
+def _reference_pointcloud_upper(model, box, q, p, n):
+    """The layer-cake closure of a cell that touches a point cloud: per
+    point, the ball bound ``2^(n+1) s/(s-q) span^(s-q)`` (``s = n + p``)
+    capped by the bound with layers clipped at |cell|; points at positive
+    gap add |cell| times the nearest gap's weight."""
+    s = n + p
+    if q >= s:
+        return None
+    measure = _box_measure(box)
+    factor = s / (s - q)
+    capped = measure ** (1.0 - q / s) * (2.0 ** (n + 1)) ** (q / s) * factor
+    gaps, spans = _reference_gaps_spans(model, box, p)
+    near = [min((2.0 ** (n + 1)) * factor * float(sp) ** (s - q), capped)
+            for g, sp in zip(gaps, spans) if not g > 0.0]
+    far = [float(g) for g in gaps if g > 0.0]
+    return sum(near, 0.0) + (measure * _pow_neg(min(far), q) if far else 0.0)
 
 
 def _reference_halfspace(model, box, q, p):
@@ -308,7 +356,7 @@ def _reference_cell(model, box, spec):
     if inf_lo > 0.0:
         return _Cell(box, Interval(lo, measure * _pow_neg(inf_lo, q)), False, False)
     if isinstance(model, PointCloud):
-        hi = _pointcloud_singular_upper(model, box, q, p, spec.n)
+        hi = _reference_pointcloud_upper(model, box, q, p, spec.n)
         if hi is not None:
             return _Cell(box, Interval(min(lo, hi), hi), False, False)
         return _Cell(box, Interval(lo, math.inf), True, False)

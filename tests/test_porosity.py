@@ -564,8 +564,13 @@ def test_cut_without_hole_is_the_full_search(unit_root, hyperplane):
 
 
 def test_cut_keeps_unknowns_below_it_out():
+    # the base [-1/8, 7/8): of its level-1 cells, [1/8, 3/8) holds the
+    # depth-2 witness 2/9 = f_0(f_1(0)) but no depth-1 witness, so it is
+    # UNKNOWN at model cap 1 and NONEMPTY at cap 2; [3/8, 5/8) lies in the
+    # gap (1/3, 2/3) and is the hole.  At level 2, [1/4, 5/16) holds
+    # 1/4 = 0.(02) in base 3 but no witness of depth <= 2: UNKNOWN at cap 2
     g = new_geometry(1, 2.0)
-    base = Root(g, (Fraction(1, 2),), Fraction(0), Fraction(1), Fraction(0)).address()
+    base = Root(g, (Fraction(3, 8),), Fraction(0), Fraction(1), Fraction(0)).address()
     shallow_model = cantor_times_time(depth_cap=1)
     search = porosity._maximal_free(shallow_model, base, 1)
     assert search.unknown_levels == (False, True)

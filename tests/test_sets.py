@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from parporo.geometry import ParabolicRectangle
 from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal,
-                          PointCloud, SpatialHyperplane, _box_probe_points, _sup_bracket,
+                          PointCloud, SpatialHyperplane, _gap_span_weight, _sup_bracket,
                           cantor_times_time, distance_to_set, integer_grid,
                           parabolic_distance, rectangle_free, set_from_json, set_to_json,
                           single_point, sup_distance_bracket)
 
-from oracles import reference_dist_box_range
+from oracles import exact_cylinders, exact_gap, reference_dist_box_range
 
 
 def test_metric_examples():
@@ -172,11 +172,15 @@ def test_cantor_distance_and_freeness():
 def test_cantor_unknown_under_tiny_cap():
     p = 2.0
     shallow = cantor_times_time(p, depth_cap=2)
-    # a sliver strictly inside [0,1] but off the first two refinement scales
-    sliver = ParabolicRectangle(center=(0.300001,), top_time=0.0, side=1e-4)
-    assert rectangle_free(shallow, sliver, p) in (Freeness.UNKNOWN, Freeness.EMPTY)
     deep = cantor_times_time(p, depth_cap=30)
-    assert rectangle_free(deep, sliver, p) is Freeness.EMPTY
+    # slivers inside the scale-2 cell [2/9, 1/3], which holds no scale-2
+    # witness: one in its removed middle third (7/27, 8/27), one around
+    # 3/10 = 0.(0220) in base 3, a point of the Cantor set
+    gap = ParabolicRectangle(center=(0.2778,), top_time=0.0, side=1e-4)
+    hit = ParabolicRectangle(center=(0.300001,), top_time=0.0, side=1e-4)
+    for sliver, verdict in ((gap, Freeness.EMPTY), (hit, Freeness.NONEMPTY)):
+        assert rectangle_free(shallow, sliver, p) is Freeness.UNKNOWN
+        assert rectangle_free(deep, sliver, p) is verdict
 
 
 def test_null_flags():
@@ -305,18 +309,96 @@ def test_sup_bracket_matches_the_per_model_reference(case):
     model, exact, box, p = case
     inf_ref, sup_ref = reference_dist_box_range(model, box, p)
     inf, sup_hi = model.dist_box_gap_span(box, p)
-    assert inf.hex() == inf_ref.lo.hex()
-    if isinstance(model, IFSFractal):
-        assert sup_hi <= sup_ref.hi
-        probes = _box_probe_points(box)
-        (xlo, xhi), = box[0]
-        probes += [(xlo + f * (xhi - xlo), box[1][0]) for f in (0.1, 0.37, 0.61, 0.9)]
-        assert all(model.distance(pt, p).lo <= sup_hi for pt in probes)
-        return
     sup = _sup_bracket(model, box, p)
+    if isinstance(model, IFSFractal):
+        # exact reference brackets: the model's must overlap them
+        below, above = model._inf_bracket(box[0])
+        assert inf == below
+        assert _overlaps(below, above, *inf_ref)
+        assert _overlaps(sup.lo, sup.hi, *sup_ref)
+        return
+    assert inf.hex() == inf_ref.lo.hex()
     assert (sup.lo.hex(), sup.hi.hex()) == (sup_ref.lo.hex(), sup_ref.hi.hex())
     if exact:
         assert sup.width == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the Cantor set against its exact cylinders
+# ---------------------------------------------------------------------------
+
+# float rounding of IFS cells and faces is not outward yet: it may move a
+# bound by a few ulps, far below what a wrong cylinder rule moves it
+ROUNDING = Fraction(2) ** -46
+
+
+def _overlaps(lo, hi, exact_lo, exact_hi):
+    return lo <= exact_hi + ROUNDING and hi >= exact_lo - ROUNDING
+
+
+CANTOR = cantor_times_time(2.0)
+CELLS, POINTS = exact_cylinders(CANTOR)
+
+
+@st.composite
+def cantor_boxes(draw):
+    """A spatial interval centred on an exact depth-10 point, inside a
+    removed gap between two depth-10 cells, or anywhere near the set."""
+    kind = draw(st.sampled_from(["point", "gap", "any"]))
+    if kind == "point":
+        x, _ = draw(st.sampled_from(POINTS))
+        h = Fraction(2) ** -draw(st.integers(12, 40))
+        lo, hi = float(x - h), float(x + h)
+    elif kind == "gap":
+        k = draw(st.integers(0, len(CELLS) - 2))
+        left, right = CELLS[k][1], CELLS[k + 1][0]
+        f = sorted(draw(st.integers(1, 63)) for _ in range(2))
+        lo, hi = (float(left + (right - left) * v / 64) for v in f)
+    else:
+        lo = draw(st.floats(-0.5, 1.5))
+        hi = lo + 2.0 ** -draw(st.integers(-1, 30))
+    return ((lo, hi),), (draw(st.floats(-2.0, 1.0)), 1.0)
+
+
+@given(box=cantor_boxes(), q=st.sampled_from([0.3, 1.0, 2.5]))
+@settings(max_examples=300, deadline=None)
+def test_cantor_queries_match_the_exact_cylinders(box, q):
+    # every exact point f_w(0) of a word w of length <= 10 is a depth-10
+    # point (append zeros), and the depth-10 cells cover the set
+    ((lo, hi),), _ = box
+    a, b = Fraction(lo), Fraction(hi)
+    verdict = CANTOR.meets_box(box)
+    if a + ROUNDING < b - ROUNDING and exact_gap(POINTS, a + ROUNDING, b - ROUNDING) == 0:
+        assert verdict is not Freeness.EMPTY
+    if verdict is Freeness.NONEMPTY:
+        assert exact_gap(CELLS, a - ROUNDING, b + ROUNDING) == 0
+    below, above = CANTOR._inf_bracket(box[0])
+    assert _overlaps(below, above, exact_gap(CELLS, a, b), exact_gap(POINTS, a, b))
+    assert CANTOR.dist_box_gap_span(box, 2.0)[0] == below
+    for x in (lo, hi, (lo + hi) / 2):
+        d = CANTOR.distance((x, 0.0), 2.0)
+        e = Fraction(x)
+        assert _overlaps(d.lo, d.hi, exact_gap(CELLS, e, e), exact_gap(POINTS, e, e))
+    assert CANTOR.cell_weight(box, q, 2.0) == \
+        _gap_span_weight(box, q, *CANTOR.dist_box_gap_span(box, 2.0))
+
+
+def test_a_box_over_the_whole_cantor_set_stops_at_the_root(monkeypatch):
+    # the root's witness lies in the box, so no query refines a cylinder
+    calls = 0
+    children = IFSFractal._children
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return children(self, *args)
+
+    monkeypatch.setattr(IFSFractal, "_children", counting)
+    box = (((-1.0, 2.0),), (0.0, 1.0))
+    assert CANTOR.dist_box_gap_span(box, 2.0) == (0.0, 2.0)
+    assert CANTOR.meets_box(box) is Freeness.NONEMPTY
+    assert CANTOR.cell_weight(box, 0.3, 2.0)[1:] == (math.inf, False, True)
+    assert calls == 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from parporo import weights
 from parporo.geometry import ParabolicRectangle, Root, new_geometry, translate
 from parporo.sampling import SamplerConfig, draw_roots
 from parporo.sets import (BoxUnion, HalfSpaceTime, PointCloud, SpatialHyperplane,
-                          single_point)
+                          cantor_times_time, single_point)
 from oracles import halton_array, reference_integrate
 from parporo.weights import (WeightSpec, a1_ratio, a1_scan, annular_constant,
                              average_weight, essinf_weight, integrate_weight)
@@ -229,14 +229,14 @@ def test_hyperplane_closed_form_above_q_one(x):
 
 COORDS = st.integers(-8, 8).map(lambda k: k / 4)
 KINDS = ("point", "cloud3", "cloud20", "hyperplane", "past", "future",
-         "boxes-null", "boxes")
+         "boxes-null", "boxes", "cantor")
 
 
 @st.composite
 def weight_cases(draw):
-    n = draw(st.sampled_from((1, 2)))
-    p = draw(st.sampled_from((2.0, 1.5)))
     kind = draw(st.sampled_from(KINDS))
+    n = 1 if kind == "cantor" else draw(st.sampled_from((1, 2)))
+    p = draw(st.sampled_from((2.0, 1.5)))
 
     def point():
         return tuple(draw(COORDS) for _ in range(n + 1))
@@ -256,6 +256,8 @@ def weight_cases(draw):
         model = SpatialHyperplane(draw(st.integers(0, n - 1)), draw(COORDS))
     elif kind in ("past", "future"):
         model = HalfSpaceTime(draw(COORDS), future=kind == "future")
+    elif kind == "cantor":
+        model = cantor_times_time(p, depth_cap=draw(st.sampled_from((6, 24))))
     else:
         model = BoxUnion(tuple(box(kind == "boxes-null")
                                for _ in range(draw(st.integers(1, 3)))))
