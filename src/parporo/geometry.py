@@ -357,6 +357,13 @@ class Root:
             self._floats.append((w, gamma, w ** self.geom.p, self._K[i]))
         return self._floats[level]
 
+    def column_grid(self, level: int) -> tuple[tuple[float, ...], float]:
+        """The floats that place level-``level`` spatial columns: the root's
+        lower face per axis and the cell side ``w``.  Column ``s`` along axis
+        ``j`` is ``[c - w/2, c + w/2)`` with ``c = origins[j] + (s + 0.5) * w``,
+        as ``DyadicAddress.run_box`` computes it."""
+        return self._origins, self._floats_to(level)[0]
+
     def gamma_at(self, level: int) -> mpmath.mpf:
         self.ensure_depth(level)
         return self._gammas[level]
@@ -517,7 +524,7 @@ class DyadicAddress:
     def forward_parent(self, params: StoppingParams) -> "DyadicAddress":
         """Dyadic parent translated ``theta0`` parent slabs forward in time."""
         up = self.parent()
-        return DyadicAddress(up.root, up.level, up.spatial, up.temporal + params.theta0)
+        return up._with_temporal(up.temporal + params.theta0)
 
     def ancestor(self, level: int) -> "DyadicAddress":
         if level > self.level:
@@ -537,7 +544,19 @@ class DyadicAddress:
         """Integer time translation by ``theta`` OWN temporal side lengths."""
         if int(theta) != theta:
             raise ValueError("address translation requires an integer theta")
-        return DyadicAddress(self.root, self.level, self.spatial, self.temporal + int(theta))
+        return self._with_temporal(self.temporal + int(theta))
+
+    def _with_temporal(self, temporal: int) -> "DyadicAddress":
+        """The cell of this spatial column at slab ``temporal``, built without
+        ``__post_init__``: this address is valid, and only the temporal
+        index changes, which may be any integer."""
+        new = object.__new__(DyadicAddress)
+        fields = new.__dict__
+        fields["root"] = self.root
+        fields["level"] = self.level
+        fields["spatial"] = self.spatial
+        fields["temporal"] = temporal
+        return new
 
     # -- relations -------------------------------------------------------------
 
@@ -606,16 +625,26 @@ class DyadicAddress:
         """
         root = self.root
         try:
-            w, gamma, w_p, K = root._floats[self.level]
+            w = root._floats[self.level][0]
         except IndexError:
-            w, gamma, w_p, K = root._floats_to(self.level)
-        first = root._t_lo + (self.temporal / K) * root._l_t
-        last = first if run == 1 else \
-            root._t_lo + ((self.temporal + run - 1) / K) * root._l_t
+            w = root._floats_to(self.level)[0]
         h = 0.5 * w
         bounds = tuple((c - h, c + h)
                        for c in (o + (s + 0.5) * w for o, s in zip(root._origins, self.spatial)))
-        return bounds, ((first + w_p) - w_p, (last + w_p) - gamma * w_p)
+        return bounds, self.run_faces(run)
+
+    def run_faces(self, run: int = 1) -> tuple[float, float]:
+        """The temporal faces of ``run_box(run)``: the float lower face of
+        the first slab and upper face of the last."""
+        root = self.root
+        try:
+            _w, gamma, w_p, K = root._floats[self.level]
+        except IndexError:
+            _w, gamma, w_p, K = root._floats_to(self.level)
+        first = root._t_lo + (self.temporal / K) * root._l_t
+        last = first if run == 1 else \
+            root._t_lo + ((self.temporal + run - 1) / K) * root._l_t
+        return (first + w_p) - w_p, (last + w_p) - gamma * w_p
 
     def gamma(self) -> mpmath.mpf:
         return self.root.gamma_at(self.level)

@@ -8,16 +8,17 @@ that has one, and the maximal free collection is every level's free cells.
 Depth caps always surface in the result instead of silently truncating.
 
 Slab runs: the kernel's unit of work is a run, a cell together with the
-next ``m - 1`` slabs of its spatial column, tested as one box
-(``DyadicAddress.run_box``).  A spatial child of a run at level ``L`` is
-the run of the ``m * k_L`` slabs under it.  ``meets_box`` is monotone under
-inclusion and the run box contains every slab's box, so a run E misses is
-free slab by slab; a run E meets is bisected in time until the halves are
-free or single slabs.  On a time-invariant set (``model.time_invariant``,
-a product ``F x R``) every slab of a run gets the same verdict, so a
-non-free run is never bisected and a level ``L`` below a level-``b`` base
-holds one run of ``K_{b+L} / K_b`` slabs per spatial column.  Member
-addresses are built only when a consumer reads them.
+next ``m - 1`` slabs of its spatial column, tested once by the model's
+``meets_run``, the verdict on the run's box (``DyadicAddress.run_box``).
+A spatial child of a run at level ``L`` is the run of the ``m * k_L`` slabs
+under it.  ``meets_run`` is monotone under inclusion and the run box
+contains every slab's box, so a run E misses is free slab by slab; a run E
+meets is bisected in time until the halves are free or single slabs.  On a
+time-invariant set (``model.time_invariant``, a product ``F x R``) every
+slab of a run gets the same verdict, so a non-free run is never bisected
+and a level ``L`` below a level-``b`` base holds one run of
+``K_{b+L} / K_b`` slabs per spatial column.  Member addresses are built
+only when a consumer reads them.
 
 One search, level cuts: the maximal free collection of a root depends on
 neither delta nor theta, and cells on one level share a measure, so every
@@ -72,10 +73,8 @@ class _FreeLevel:
         if self._cells is None:
             order = sorted((t, addr.spatial, addr) for addr, run in self.runs
                            for t in range(addr.temporal, addr.temporal + run))
-            self._cells = tuple(
-                addr if t == addr.temporal else
-                DyadicAddress(addr.root, addr.level, spatial, t)
-                for t, spatial, addr in order)
+            self._cells = tuple(addr if t == addr.temporal else addr._with_temporal(t)
+                                for t, _spatial, addr in order)
         return self._cells
 
 
@@ -192,7 +191,7 @@ class PorosityReport:
 
 
 def _freeness(model: ClosedSetModel, addr: DyadicAddress, run: int) -> Freeness:
-    return model.meets_box(addr.run_box(run))
+    return model.meets_run(addr, run)
 
 
 def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
@@ -205,11 +204,14 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
     A run ``(addr, m)`` is the ``m`` slabs of ``addr``'s spatial column from
     ``addr`` on; the root is ``(root_addr, 1)``, and a spatial child of
     ``(addr, m)`` is ``(child at addr.temporal * k, m * k)``.  Each run is
-    tested as one box.  A run E misses is free.  A run E meets stays
-    non-free when it is a single slab or the set is time-invariant, and
-    only such a verdict counts as UNKNOWN; any other run is bisected in
-    time, the lower half tested first.  UNKNOWN runs count as non-free and
-    are descended into.
+    tested once, through the module-global ``_freeness``, which asks the
+    model's ``meets_run``: a point cloud answers from its column index, the
+    other models test the run's box.  A run E misses is free.  A run E
+    meets stays non-free when it is a single slab or the set is
+    time-invariant, and only such a verdict counts as UNKNOWN; any other
+    run is bisected in time, the lower half tested first, its upper half
+    an address moved in time without re-validation.  UNKNOWN runs count as
+    non-free and are descended into.
     """
     if depth_cap < 0:
         raise ValueError("depth_cap must be nonnegative")
@@ -235,8 +237,7 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
                 rest.append((addr, run))
             else:
                 half = run // 2
-                stack.append((DyadicAddress(root, addr.level, addr.spatial,
-                                            addr.temporal + half), run - half))
+                stack.append((addr._with_temporal(addr.temporal + half), run - half))
                 stack.append((addr, half))
         yield free, unknown, rest
         frontier = rest

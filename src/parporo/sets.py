@@ -1,8 +1,10 @@
 """Closed-set models with parabolic distance oracles and freeness tests.
 
-Every model is a nonempty closed subset of space-time with four queries:
+Every model is a nonempty closed subset of space-time with five queries:
 
 * ``meets_box(box)``            -- does E intersect the half-open box?
+* ``meets_run(addr, run)``      -- does E meet the run of ``run`` slabs of
+                                   ``addr``'s column from ``addr`` on?
 * ``distance(pt, p)``           -- certified bracket on dist_p(pt, E)
 * ``dist_box_gap_span(box, p)`` -- the float pair (inf over the box closure
                                    of dist_p(., E), an upper bound on its sup)
@@ -12,9 +14,13 @@ Every model is a nonempty closed subset of space-time with four queries:
 This module is the only one that knows a model's geometry.
 
 ``meets_box`` must be monotone under inclusion: a box it answers EMPTY
-has no sub-box it answers otherwise.  The free search relies on that when
-it tests a run of slabs as one box and calls every slab of a missed run
-free.
+has no sub-box it answers otherwise.  ``meets_run`` is the lattice-native
+form the free search asks, and it is monotone in the same way: it answers
+``meets_box(addr.run_box(run))``, and a run's box contains the box of
+every slab and sub-run of it.  The search relies on that when it tests a
+run of slabs once and calls every slab of a missed run free.  Point clouds
+answer it from a per-level column index without building the box; the
+other models share the default, which tests the box.
 
 Each model class also declares ``time_invariant``: ``True`` when E is a
 product ``F x R`` (a spatial set crossed with the time axis), so that
@@ -22,7 +28,7 @@ product ``F x R`` (a spatial set crossed with the time axis), so that
 then never splits a run of slabs that E meets: every slab of it would get
 the same verdict.
 
-The porosity side reads ``meets_box``; the weight integrator reads
+The porosity side reads ``meets_run``; the weight integrator reads
 ``cell_weight``, and ``sup_distance_bracket`` brackets the sup from the
 span and ``distance`` at probe points.  The first four variants answer
 everything exactly.  The iterated-function-system variant walks cylinders
@@ -33,14 +39,16 @@ cap, and reports ``UNKNOWN`` rather than guessing.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import ParabolicRectangle
+from .geometry import DyadicAddress, ParabolicRectangle, Root
 from .intervals import Interval, _down, _up
 
 Point = tuple[float, ...]
@@ -54,6 +62,13 @@ class Freeness(Enum):
     EMPTY = "empty"        # rect does not meet E (rect is E-free)
     NONEMPTY = "nonempty"  # rect meets E
     UNKNOWN = "unknown"    # undecided under the recursion cap
+
+
+class _RunAsBox:
+    """The default lattice-run query: ``meets_box`` on the run's float box."""
+
+    def meets_run(self, addr: DyadicAddress, run: int) -> Freeness:
+        return self.meets_box(addr.run_box(run))
 
 
 def parabolic_distance(a: Sequence[float], b: Sequence[float], p: float) -> float:
@@ -131,6 +146,27 @@ def _around_product(a: float, b: float) -> tuple[float, float]:
     return _down(min(products)), _up(max(products))
 
 
+def _columns_holding(x: float, origin: float, w: float, cells: int) -> range:
+    """The columns ``s`` in ``[0, cells)`` along one axis whose half-open float
+    box ``[c - w/2, c + w/2)``, with ``c = origin + (s + 0.5) * w`` as
+    ``DyadicAddress.run_box`` computes it, holds ``x``: from the first
+    column whose upper face lies above ``x`` to the first whose lower face
+    does.  Rounded faces of neighbouring columns may overlap or leave a
+    gap, so the range may hold two columns or none; the faces are
+    nondecreasing in ``s``, so each walk from the guess moves one way."""
+    h = 0.5 * w
+    q = (x - origin) / w
+    s = 0 if not q > 0 else (cells if q >= cells else int(q))
+    while s < cells and (origin + (s + 0.5) * w) + h <= x:
+        s += 1
+    while s > 0 and (origin + (s - 0.5) * w) + h > x:
+        s -= 1
+    stop = s  # a lower face lies below its own upper face
+    while stop < cells and (origin + (stop + 0.5) * w) - h <= x:
+        stop += 1
+    return range(s, stop)
+
+
 def _gap_span_weight(box: Box, q: float, inf_lo: float, sup_hi: float,
                      diverged: bool = False) -> CellWeight:
     """The cell weight from the distance bracket alone: ``|box| dist^(-q)``
@@ -156,6 +192,13 @@ class PointCloud:
     The coordinate arrays ``_xs``/``_ts`` hold the points sorted by time, so
     ``meets_box`` bisects the time window; the distance queries take minima
     over the points, which do not depend on that order.
+
+    ``meets_run`` reads a column index instead: per lattice level, each
+    spatial column that holds a point mapped to the sorted times of its
+    points.  The index is kept for one root at a time, in one slot that is
+    replaced whole, so concurrent searches of other roots only rebuild it.
+    It is built in plain floats: numpy would page in code that a search
+    otherwise never runs, which shows in a short report's peak memory.
     """
 
     points: tuple[Point, ...]
@@ -174,6 +217,10 @@ class PointCloud:
         arr = arr[np.argsort(arr[:, -1], kind="stable")]
         object.__setattr__(self, "_xs", arr[:, :-1])
         object.__setattr__(self, "_ts", arr[:, -1])
+        # (root, {level: column index}) for the root searched last, and the
+        # times at each spatial position, built on the first index
+        object.__setattr__(self, "_columns", (None, {}))
+        object.__setattr__(self, "_by_place", None)
 
     @property
     def is_null(self) -> bool:
@@ -194,20 +241,10 @@ class PointCloud:
         return Interval.point(float(d.min()))
 
     def _gap_span_arrays(self, box: Box, p: float):
-        """Per-point (inf, sup) of the distance over the box closure.
-
-        Returns plain lists for small clouds (numpy round trips dominate
-        there) and numpy arrays otherwise.
-        """
+        """Per-point (inf, sup) of the distance over the box closure, as
+        numpy arrays in time order."""
         bounds, (tlo, thi) = box
         inv = 1.0 / p
-        if len(self.points) <= 12:
-            gaps, spans = [], []
-            for z in self.points:
-                g, s = self._box_range_single(z, box, p)
-                gaps.append(g)
-                spans.append(s)
-            return gaps, spans
         lo = np.asarray([b[0] for b in bounds])
         hi = np.asarray([b[1] for b in bounds])
         gaps = np.maximum(np.maximum(lo - self._xs, self._xs - hi), 0.0)
@@ -218,10 +255,62 @@ class PointCloud:
         t_span = np.maximum(np.abs(tlo - self._ts), np.abs(thi - self._ts))
         return np.maximum(sp_gap, t_gap ** inv), np.maximum(sp_span, t_span ** inv)
 
+    def _gap_span_summary(self, box: Box, p: float
+                          ) -> tuple[float, float, float, list[float]]:
+        """Over the points, with a point's gap and span the inf and an upper
+        bound on the sup of its distance over the box closure: the least gap,
+        the least span, the least positive gap (``inf`` when none), and the
+        spans of the points at gap 0, in point order.
+
+        Clouds of at most 12 points take one pass in plain floats (numpy
+        round trips dominate there); larger ones go through the arrays.
+        """
+        if len(self.points) > 12:
+            gaps, spans = self._gap_span_arrays(box, p)
+            far = gaps > 0.0
+            return (float(gaps.min()), float(spans.min()),
+                    float(gaps[far].min(initial=math.inf)), spans[~far].tolist())
+        bounds, (tlo, thi) = box
+        inv = 1.0 / p
+        inf_lo = sup_hi = far_gap = math.inf
+        near = []
+        for z in self.points:
+            # per-axis maxima of gaps and spans, all >= 0, so starting from
+            # 0.0 gives the same floats as ``max(..., default=0.0)``
+            inf_sp = sup_sp = 0.0
+            for (lo, hi), x in zip(bounds, z):
+                gap = lo - x if x < lo else (x - hi if x > hi else 0.0)
+                if gap > inf_sp:
+                    inf_sp = gap
+                span = abs(lo - x)
+                if abs(hi - x) > span:
+                    span = abs(hi - x)
+                if span > sup_sp:
+                    sup_sp = span
+            zt = z[-1]
+            gap = tlo - zt if zt < tlo else (zt - thi if zt > thi else 0.0)
+            span = abs(tlo - zt)
+            if abs(thi - zt) > span:
+                span = abs(thi - zt)
+            g, sp = gap ** inv, span ** inv
+            if inf_sp > g:
+                g = inf_sp
+            if sup_sp > sp:
+                sp = sup_sp
+            if g < inf_lo:
+                inf_lo = g
+            if sp < sup_hi:
+                sup_hi = sp
+            if g > 0.0:
+                if g < far_gap:
+                    far_gap = g
+            else:
+                near.append(sp)
+        return inf_lo, sup_hi, far_gap, near
+
     def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
         """(inf over box of dist, an upper bound on sup over box of dist)."""
-        gaps, spans = self._gap_span_arrays(box, p)
-        return float(min(gaps)), float(min(spans))
+        return self._gap_span_summary(box, p)[:2]
 
     def cell_weight(self, box: Box, q: float, p: float) -> CellWeight:
         """The gap/span bound, closed on a cell that touches a point by the
@@ -234,9 +323,8 @@ class PointCloud:
         """
         n = len(box[0])
         s = n + p
-        gaps, spans = self._gap_span_arrays(box, p)
-        inf_lo = float(min(gaps))
-        cell = _gap_span_weight(box, q, inf_lo, float(min(spans)), diverged=q >= s)
+        inf_lo, sup_hi, far_gap, near = self._gap_span_summary(box, p)
+        cell = _gap_span_weight(box, q, inf_lo, sup_hi, diverged=q >= s)
         if inf_lo > 0.0 or q >= s:
             return cell
         lo = cell[0]
@@ -245,34 +333,11 @@ class PointCloud:
         measure = _box_measure(box)
         clipped = measure ** (1.0 - q / s) * ball ** (q / s) * factor
         near_total = 0.0
-        far_gap = math.inf
-        for g, sp in zip(gaps, spans):
-            if g > 0.0:
-                far_gap = min(far_gap, float(g))
-            else:
-                near_total += min(ball * factor * float(sp) ** (s - q), clipped)
+        for sp in near:
+            near_total += min(ball * factor * sp ** (s - q), clipped)
         far_part = 0.0 if math.isinf(far_gap) else measure * _pow_neg(far_gap, q)
         hi = near_total + far_part
         return min(lo, hi), hi, False, False
-
-    def _box_range_single(self, z: Point, box: Box, p: float) -> tuple[float, float]:
-        bounds, (tlo, thi) = box
-        # per-axis maxima of gaps and spans, all >= 0, so starting from 0.0
-        # gives the same floats as ``max(..., default=0.0)``
-        inf_sp = sup_sp = 0.0
-        for (lo, hi), x in zip(bounds, z):
-            gap = lo - x if x < lo else (x - hi if x > hi else 0.0)
-            if gap > inf_sp:
-                inf_sp = gap
-            span = abs(lo - x)
-            if abs(hi - x) > span:
-                span = abs(hi - x)
-            if span > sup_sp:
-                sup_sp = span
-        zt = z[-1]
-        inv = 1.0 / p
-        return (max(inf_sp, _axis_gap(tlo, thi, zt) ** inv),
-                max(sup_sp, _axis_span(tlo, thi, zt) ** inv))
 
     def meets_box(self, box: Box) -> Freeness:
         bounds, (tlo, thi) = box
@@ -289,6 +354,61 @@ class PointCloud:
         inside = ((xs >= lo) & (xs < hi)).all(axis=1)
         return Freeness.NONEMPTY if bool(inside.any()) else Freeness.EMPTY
 
+    def meets_run(self, addr: DyadicAddress, run: int) -> Freeness:
+        """``meets_box(addr.run_box(run))``, from the column index: one
+        lookup of the column's times and one bisection at the run's faces."""
+        root, level = addr.root, addr.level
+        held, indexes = self._columns
+        index = indexes.get(level) if held is root else None
+        if index is None:
+            index = self._column_index(root, level)
+            kept = indexes if held is root else {}
+            object.__setattr__(self, "_columns", (root, {**kept, level: index}))
+        times = index.get(addr.spatial)
+        if times is None:
+            return Freeness.EMPTY
+        tlo, thi = addr.run_faces(run)
+        i = bisect_left(times, tlo)
+        return Freeness.NONEMPTY if i < len(times) and times[i] < thi else Freeness.EMPTY
+
+    def _column_index(self, root: Root, level: int) -> dict[tuple[int, ...], list[float]]:
+        """Each level-``level`` column of ``root`` that holds a point, mapped
+        to the sorted times of its points.
+
+        A column is the half-open float box ``run_box`` gives it, so a point
+        on the overlap of two neighbouring columns' rounded faces lies in
+        both, and a point in a gap between them, or outside the root, in
+        none.  Points that share a spatial position are placed once.
+        """
+        origins, w = root.column_grid(level)
+        if len(origins) != self._xs.shape[1]:
+            raise ValueError("the cloud and the lattice differ in spatial dimension")
+        cells = 1 << (root.geom.d * level)
+        columns: dict[tuple[int, ...], list[float]] = {}
+        for place, times in self._places().items():
+            spans = []
+            for o, x in zip(origins, place):
+                span = _columns_holding(x, o, w, cells)
+                if not span:
+                    break
+                spans.append(span)
+            else:
+                for key in itertools.product(*spans):
+                    columns.setdefault(key, []).extend(times)
+        for times in columns.values():
+            times.sort()
+        return columns
+
+    def _places(self) -> dict[Point, list[float]]:
+        """The times of the points at each spatial position, built once."""
+        places = self._by_place
+        if places is None:
+            places = {}
+            for z in self.points:
+                places.setdefault(tuple(map(float, z[:-1])), []).append(float(z[-1]))
+            object.__setattr__(self, "_by_place", places)
+        return places
+
     def to_json(self) -> dict:
         from .serialize import number_str
         return {"type": "points",
@@ -296,7 +416,7 @@ class PointCloud:
 
 
 @dataclass(frozen=True)
-class BoxUnion:
+class BoxUnion(_RunAsBox):
     """Finite union of closed axis-aligned space-time boxes.
 
     Each box is ``(((xlo, xhi), ...), (tlo, thi))`` with closed faces.
@@ -373,7 +493,7 @@ class BoxUnion:
 
 
 @dataclass(frozen=True)
-class HalfSpaceTime:
+class HalfSpaceTime(_RunAsBox):
     """Temporal half space ``{t >= t0}`` (future) or ``{t <= t0}`` (past)."""
 
     t0: float
@@ -430,7 +550,7 @@ class HalfSpaceTime:
 
 
 @dataclass(frozen=True)
-class SpatialHyperplane:
+class SpatialHyperplane(_RunAsBox):
     """Hyperplane ``{x_axis = value}`` extended over all times."""
 
     axis: int
@@ -494,7 +614,7 @@ _IFS_NODE_BUDGET = 50000
 
 
 @dataclass(frozen=True)
-class IFSFractal:
+class IFSFractal(_RunAsBox):
     """Product ``(spatial attractor) x R_t`` of contracting affine maps.
 
     E.g. the 1/3-Cantor set crossed with the time axis.  A cylinder of the
@@ -700,16 +820,18 @@ def _sup_bracket(model: ClosedSetModel, box: Box, p: float) -> Interval:
 
 
 def _split_box(box: Box, p: float) -> tuple[Box, Box]:
+    """The two halves of the box, lower half first, across its first widest
+    spatial axis, or across time when the time side is parabolically longer."""
     bounds, (tlo, thi) = box
-    widths = [hi - lo for lo, hi in bounds]
-    t_eff = (thi - tlo) ** (1.0 / p)
-    if widths and max(widths) >= t_eff:
-        j = widths.index(max(widths))
+    j, widest = -1, -math.inf
+    for i, (lo, hi) in enumerate(bounds):
+        if hi - lo > widest:
+            j, widest = i, hi - lo
+    if j >= 0 and widest >= (thi - tlo) ** (1.0 / p):
         lo, hi = bounds[j]
         mid = 0.5 * (lo + hi)
-        left = tuple((mid, hi) if i == j else b for i, b in enumerate(bounds))
-        right = tuple((lo, mid) if i == j else b for i, b in enumerate(bounds))
-        return (right, (tlo, thi)), (left, (tlo, thi))
+        head, tail = bounds[:j], bounds[j + 1:]
+        return (head + ((lo, mid),) + tail, (tlo, thi)), (head + ((mid, hi),) + tail, (tlo, thi))
     mid = 0.5 * (tlo + thi)
     return (bounds, (tlo, mid)), (bounds, (mid, thi))
 
@@ -729,7 +851,6 @@ def integer_grid(n: int = 1, spatial_extent: int = 8, time_depth: int = 8,
     pts: list[Point] = []
     rng = range(-spatial_extent, spatial_extent + 1)
     coords = [rng] * n
-    import itertools
     for z in itertools.product(*coords):
         for m in range(0, time_depth + 1):
             pts.append(tuple(v * spacing + offset for v in z) + (-(m * spacing) + offset,))

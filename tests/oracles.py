@@ -17,7 +17,7 @@ from parporo.intervals import Interval, interval_sum
 from parporo.porosity import HoleResult
 from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal, PointCloud,
                           SpatialHyperplane, _axis_gap, _axis_span, _box_measure,
-                          _box_probe_points, _pow_neg, _primitive_abs, _split_box,
+                          _box_probe_points, _pow_neg, _primitive_abs,
                           rectangle_free)
 from parporo.weights import IntegrationResult
 
@@ -365,6 +365,23 @@ def _reference_cell(model, box, spec):
     return _Cell(box, Interval(lo, math.inf), False, True)
 
 
+def reference_split_box(box, p):
+    """``sets._split_box`` from a widths list: the first widest spatial
+    axis is halved unless the time side is parabolically longer."""
+    bounds, (tlo, thi) = box
+    widths = [hi - lo for lo, hi in bounds]
+    t_eff = (thi - tlo) ** (1.0 / p)
+    if widths and max(widths) >= t_eff:
+        j = widths.index(max(widths))
+        lo, hi = bounds[j]
+        mid = 0.5 * (lo + hi)
+        left = tuple((mid, hi) if i == j else b for i, b in enumerate(bounds))
+        right = tuple((lo, mid) if i == j else b for i, b in enumerate(bounds))
+        return (right, (tlo, thi)), (left, (tlo, thi))
+    mid = 0.5 * (tlo + thi)
+    return (bounds, (tlo, mid)), (bounds, (mid, thi))
+
+
 def reference_integrate(model, rect, spec, tol=1e-6, max_cells=40000):
     """``weights.integrate_weight`` with a frozen ``_Cell`` and an
     ``Interval`` per bound cell: the same refinement, tie order and leaf
@@ -396,7 +413,7 @@ def reference_integrate(model, rect, spec, tol=1e-6, max_cells=40000):
         _, _, cell = heapq.heappop(heap)
         run_lo -= cell.bracket.lo
         run_hi -= cell.bracket.hi
-        for half in _split_box(cell.box, spec.p):
+        for half in reference_split_box(cell.box, spec.p):
             push(_reference_cell(model, half, spec))
         processed += 1
 

@@ -392,3 +392,30 @@ def test_realize_on_warm_root_enters_no_mpmath(monkeypatch):
                              rng.randrange(-K, 2 * K))
         addr.realize()
     assert entered == []
+
+
+@given(level=st.integers(0, 3), data=st.data(), shift=st.integers(-300, 300))
+@settings(max_examples=200, deadline=None)
+def test_derived_addresses_equal_validated_ones(level, data, shift):
+    # the searches move a validated address in time without re-validating
+    # it; the result must be the address the validated constructor builds
+    geom = new_geometry(2, 1.5)
+    root = Root(geom, (Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 7), Fraction(3, 7),
+                Fraction(1, 8))
+    cells = 1 << (geom.d * level)
+    spatial = tuple(data.draw(st.integers(0, cells - 1)) for _ in range(2))
+    addr = root.address(level, spatial, data.draw(st.integers(-50, 50)))
+    validated = DyadicAddress(root, level, spatial, addr.temporal + shift)
+    params = StoppingParams(4, 2, geom.k_ceil - 1)
+    derived = [addr._with_temporal(addr.temporal + shift), addr.translated(shift)]
+    for got in derived:
+        assert type(got) is DyadicAddress
+        assert got == validated and validated == got
+        assert got.key() == validated.key()
+        assert hash(got) == hash(validated)
+        assert got.root is root and got.run_box(2) == validated.run_box(2)
+    if level:
+        up = addr.parent()
+        want = DyadicAddress(root, level - 1, up.spatial, up.temporal + params.theta0)
+        assert addr.forward_parent(params) == want
+        assert hash(addr.forward_parent(params)) == hash(want)

@@ -10,8 +10,8 @@ from parporo import weights
 from parporo.geometry import ParabolicRectangle, Root, new_geometry, translate
 from parporo.sampling import SamplerConfig, draw_roots
 from parporo.sets import (BoxUnion, HalfSpaceTime, PointCloud, SpatialHyperplane,
-                          cantor_times_time, single_point)
-from oracles import halton_array, reference_integrate
+                          _split_box, cantor_times_time, single_point)
+from oracles import halton_array, reference_integrate, reference_split_box
 from parporo.weights import (WeightSpec, a1_ratio, a1_scan, annular_constant,
                              average_weight, essinf_weight, integrate_weight)
 
@@ -281,6 +281,23 @@ def test_integrator_matches_reference_bit_for_bit(case):
     assert got.value.hi.hex() == want.value.hi.hex()
     assert (got.cells, got.converged, got.diverged, got.lower_only) == \
         (want.cells, want.converged, want.diverged, want.lower_only)
+
+
+side_lengths = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 4.0))
+
+
+@given(n=st.integers(0, 3), data=st.data(), p=st.sampled_from((2.0, 1.5, math.e)))
+@settings(max_examples=400, deadline=None)
+def test_split_box_matches_the_reference_split(n, data, p):
+    # widths are often tied, so the first widest axis must be the one split
+    bounds = []
+    for _ in range(n):
+        lo = data.draw(COORDS)
+        bounds.append((lo, lo + data.draw(side_lengths)))
+    t_lo = data.draw(COORDS)
+    box = (tuple(bounds), (t_lo, t_lo + data.draw(side_lengths)))
+    got, want = _split_box(box, p), reference_split_box(box, p)
+    assert repr(got) == repr(want)
 
 
 def test_bound_cell_is_called_through_the_module_global(monkeypatch):
