@@ -362,7 +362,11 @@ class Root:
         lower face per axis and the cell side ``w``.  Column ``s`` along axis
         ``j`` is ``[c - w/2, c + w/2)`` with ``c = origins[j] + (s + 0.5) * w``,
         as ``DyadicAddress.run_box`` computes it."""
-        return self._origins, self._floats_to(level)[0]
+        try:
+            w = self._floats[level][0]
+        except IndexError:
+            w = self._floats_to(level)[0]
+        return self._origins, w
 
     def gamma_at(self, level: int) -> mpmath.mpf:
         self.ensure_depth(level)

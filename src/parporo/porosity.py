@@ -205,7 +205,7 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
     ``addr`` on; the root is ``(root_addr, 1)``, and a spatial child of
     ``(addr, m)`` is ``(child at addr.temporal * k, m * k)``.  Each run is
     tested once, through the module-global ``_freeness``, which asks the
-    model's ``meets_run``: a point cloud answers from its column index, the
+    model's ``meets_run``: a point cloud answers from its column's times, the
     other models test the run's box.  A run E misses is free.  A run E
     meets stays non-free when it is a single slab or the set is
     time-invariant, and only such a verdict counts as UNKNOWN; any other

@@ -19,8 +19,9 @@ form the free search asks, and it is monotone in the same way: it answers
 ``meets_box(addr.run_box(run))``, and a run's box contains the box of
 every slab and sub-run of it.  The search relies on that when it tests a
 run of slabs once and calls every slab of a missed run free.  Point clouds
-answer it from a per-level column index without building the box; the
-other models share the default, which tests the box.
+answer it from the sorted times of the points in the run's column, found
+once per column, without building the box; the other models share the
+default, which tests the box.
 
 Each model class also declares ``time_invariant``: ``True`` when E is a
 product ``F x R`` (a spatial set crossed with the time axis), so that
@@ -41,14 +42,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import DyadicAddress, ParabolicRectangle, Root
+from .geometry import DyadicAddress, ParabolicRectangle
 from .intervals import Interval, _down, _up
 
 Point = tuple[float, ...]
@@ -146,27 +149,6 @@ def _around_product(a: float, b: float) -> tuple[float, float]:
     return _down(min(products)), _up(max(products))
 
 
-def _columns_holding(x: float, origin: float, w: float, cells: int) -> range:
-    """The columns ``s`` in ``[0, cells)`` along one axis whose half-open float
-    box ``[c - w/2, c + w/2)``, with ``c = origin + (s + 0.5) * w`` as
-    ``DyadicAddress.run_box`` computes it, holds ``x``: from the first
-    column whose upper face lies above ``x`` to the first whose lower face
-    does.  Rounded faces of neighbouring columns may overlap or leave a
-    gap, so the range may hold two columns or none; the faces are
-    nondecreasing in ``s``, so each walk from the guess moves one way."""
-    h = 0.5 * w
-    q = (x - origin) / w
-    s = 0 if not q > 0 else (cells if q >= cells else int(q))
-    while s < cells and (origin + (s + 0.5) * w) + h <= x:
-        s += 1
-    while s > 0 and (origin + (s - 0.5) * w) + h > x:
-        s -= 1
-    stop = s  # a lower face lies below its own upper face
-    while stop < cells and (origin + (stop + 0.5) * w) - h <= x:
-        stop += 1
-    return range(s, stop)
-
-
 def _gap_span_weight(box: Box, q: float, inf_lo: float, sup_hi: float,
                      diverged: bool = False) -> CellWeight:
     """The cell weight from the distance bracket alone: ``|box| dist^(-q)``
@@ -185,6 +167,17 @@ def _gap_span_weight(box: Box, q: float, inf_lo: float, sup_hi: float,
 # ---------------------------------------------------------------------------
 
 
+class _HeldColumns(threading.local):
+    """One thread's columns of the spatial grid it searched last, keyed by
+    cell side and spatial index: ``columns`` holds a column's sorted times,
+    and ``slabs`` the points of a slab fixed along the first axes."""
+
+    def __init__(self):
+        self.origins: Optional[tuple[float, ...]] = None
+        self.columns: dict[tuple[float, tuple[int, ...]], list[float]] = {}
+        self.slabs: dict[tuple[float, tuple[int, ...]], list[Point]] = {}
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Finite set of space-time points (vectorized over the cloud).
@@ -193,12 +186,15 @@ class PointCloud:
     ``meets_box`` bisects the time window; the distance queries take minima
     over the points, which do not depend on that order.
 
-    ``meets_run`` reads a column index instead: per lattice level, each
-    spatial column that holds a point mapped to the sorted times of its
-    points.  The index is kept for one root at a time, in one slot that is
-    replaced whole, so concurrent searches of other roots only rebuild it.
-    It is built in plain floats: numpy would page in code that a search
-    otherwise never runs, which shows in a short report's peak memory.
+    ``meets_run`` reads the sorted times of the points in the run's spatial
+    column instead, found once per column by bisecting the points one
+    spatial axis at a time.  A column is a float box fixed by the
+    root's lower spatial faces and the cell side alone, so roots that differ
+    only in time share it.  Each thread keeps the columns of the grid it
+    searched last, so concurrent searches of other roots do not evict each
+    other, and memory stays flat over many roots.  The columns are found in
+    plain floats: numpy would page in code that a search otherwise never
+    runs, which shows in a short report's peak memory.
     """
 
     points: tuple[Point, ...]
@@ -217,10 +213,10 @@ class PointCloud:
         arr = arr[np.argsort(arr[:, -1], kind="stable")]
         object.__setattr__(self, "_xs", arr[:, :-1])
         object.__setattr__(self, "_ts", arr[:, -1])
-        # (root, {level: column index}) for the root searched last, and the
-        # times at each spatial position, built on the first index
-        object.__setattr__(self, "_columns", (None, {}))
-        object.__setattr__(self, "_by_place", None)
+        # each thread's columns, and the points sorted along the first
+        # spatial axis, sorted on the first column
+        object.__setattr__(self, "_columns", _HeldColumns())
+        object.__setattr__(self, "_by_first_axis", None)
 
     @property
     def is_null(self) -> bool:
@@ -262,14 +258,9 @@ class PointCloud:
         the least span, the least positive gap (``inf`` when none), and the
         spans of the points at gap 0, in point order.
 
-        Clouds of at most 12 points take one pass in plain floats (numpy
-        round trips dominate there); larger ones go through the arrays.
+        One pass in plain floats, for clouds of at most 12 points, where
+        numpy round trips dominate; larger ones read ``_gap_span_arrays``.
         """
-        if len(self.points) > 12:
-            gaps, spans = self._gap_span_arrays(box, p)
-            far = gaps > 0.0
-            return (float(gaps.min()), float(spans.min()),
-                    float(gaps[far].min(initial=math.inf)), spans[~far].tolist())
         bounds, (tlo, thi) = box
         inv = 1.0 / p
         inf_lo = sup_hi = far_gap = math.inf
@@ -310,6 +301,9 @@ class PointCloud:
 
     def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
         """(inf over box of dist, an upper bound on sup over box of dist)."""
+        if len(self.points) > 12:
+            gaps, spans = self._gap_span_arrays(box, p)
+            return float(gaps.min()), float(spans.min())
         return self._gap_span_summary(box, p)[:2]
 
     def cell_weight(self, box: Box, q: float, p: float) -> CellWeight:
@@ -323,7 +317,14 @@ class PointCloud:
         """
         n = len(box[0])
         s = n + p
-        inf_lo, sup_hi, far_gap, near = self._gap_span_summary(box, p)
+        if len(self.points) > 12:
+            gaps, spans = self._gap_span_arrays(box, p)
+            far = gaps > 0.0
+            inf_lo, sup_hi = float(gaps.min()), float(spans.min())
+            far_gap = float(gaps[far].min(initial=math.inf))
+            near = spans[~far].tolist()
+        else:
+            inf_lo, sup_hi, far_gap, near = self._gap_span_summary(box, p)
         cell = _gap_span_weight(box, q, inf_lo, sup_hi, diverged=q >= s)
         if inf_lo > 0.0 or q >= s:
             return cell
@@ -355,59 +356,62 @@ class PointCloud:
         return Freeness.NONEMPTY if bool(inside.any()) else Freeness.EMPTY
 
     def meets_run(self, addr: DyadicAddress, run: int) -> Freeness:
-        """``meets_box(addr.run_box(run))``, from the column index: one
-        lookup of the column's times and one bisection at the run's faces."""
-        root, level = addr.root, addr.level
-        held, indexes = self._columns
-        index = indexes.get(level) if held is root else None
-        if index is None:
-            index = self._column_index(root, level)
-            kept = indexes if held is root else {}
-            object.__setattr__(self, "_columns", (root, {**kept, level: index}))
-        times = index.get(addr.spatial)
+        """``meets_box(addr.run_box(run))``, from the sorted times of the
+        points in ``addr``'s column: one lookup and one bisection at the
+        run's faces."""
+        origins, w = addr.root.column_grid(addr.level)
+        held = self._columns
+        if held.origins != origins:
+            held.origins, held.columns, held.slabs = origins, {}, {}
+        key = (w, addr.spatial)
+        times = held.columns.get(key)
         if times is None:
-            return Freeness.EMPTY
+            times = held.columns[key] = self._column_times(origins, w, addr.spatial,
+                                                           held.slabs)
         tlo, thi = addr.run_faces(run)
         i = bisect_left(times, tlo)
         return Freeness.NONEMPTY if i < len(times) and times[i] < thi else Freeness.EMPTY
 
-    def _column_index(self, root: Root, level: int) -> dict[tuple[int, ...], list[float]]:
-        """Each level-``level`` column of ``root`` that holds a point, mapped
-        to the sorted times of its points.
+    def _column_times(self, origins: tuple[float, ...], w: float, spatial: tuple[int, ...],
+                      slabs: dict[tuple[float, tuple[int, ...]], list[Point]]
+                      ) -> list[float]:
+        """The sorted times of the points in spatial column ``spatial`` of
+        the grid with lower faces ``origins`` and cell side ``w``.
 
-        A column is the half-open float box ``run_box`` gives it, so a point
-        on the overlap of two neighbouring columns' rounded faces lies in
-        both, and a point in a gap between them, or outside the root, in
-        none.  Points that share a spatial position are placed once.
+        The column is the half-open float box ``[c - w/2, c + w/2)`` per
+        axis, with ``c = origin + (s + 0.5) * w`` as ``DyadicAddress.run_box``
+        computes it, so a point on the overlap of two neighbouring columns'
+        rounded faces lies in both, and a point in a gap between them in
+        neither.  The points are bisected one axis at a time: the slab of
+        the first ``j`` indices is kept in ``slabs``, sorted along the next
+        axis, so the columns of one slab share it and a column costs the
+        points in its slab.
         """
-        origins, w = root.column_grid(level)
         if len(origins) != self._xs.shape[1]:
             raise ValueError("the cloud and the lattice differ in spatial dimension")
-        cells = 1 << (root.geom.d * level)
-        columns: dict[tuple[int, ...], list[float]] = {}
-        for place, times in self._places().items():
-            spans = []
-            for o, x in zip(origins, place):
-                span = _columns_holding(x, o, w, cells)
-                if not span:
-                    break
-                spans.append(span)
-            else:
-                for key in itertools.product(*spans):
-                    columns.setdefault(key, []).extend(times)
-        for times in columns.values():
-            times.sort()
-        return columns
-
-    def _places(self) -> dict[Point, list[float]]:
-        """The times of the points at each spatial position, built once."""
-        places = self._by_place
-        if places is None:
-            places = {}
-            for z in self.points:
-                places.setdefault(tuple(map(float, z[:-1])), []).append(float(z[-1]))
-            object.__setattr__(self, "_by_place", places)
-        return places
+        rows = self._by_first_axis
+        if rows is None:
+            # the cloud's own tuples when they hold floats, which keeps the
+            # sorted copy to one list of references
+            rows = self.points
+            if not all(type(v) is float for z in rows for v in z):
+                rows = [tuple(map(float, z)) for z in rows]
+            rows = sorted(rows, key=itemgetter(0))
+            object.__setattr__(self, "_by_first_axis", rows)
+        h = 0.5 * w
+        for axis, (o, s) in enumerate(zip(origins, spatial)):
+            key = (w, spatial[:axis + 1])
+            slab = slabs.get(key)
+            if slab is None:
+                c = o + (s + 0.5) * w
+                along = itemgetter(axis)
+                slab = rows[bisect_left(rows, c - h, key=along):
+                            bisect_left(rows, c + h, key=along)]
+                slab.sort(key=itemgetter(axis + 1))
+                if axis + 1 < len(spatial):
+                    slabs[key] = slab
+            rows = slab
+        return [z[-1] for z in rows]
 
     def to_json(self) -> dict:
         from .serialize import number_str

@@ -1,14 +1,17 @@
-"""Point clouds answer lattice runs from a column index.
+"""Point clouds answer lattice runs from the sorted times of a column.
 
 ``PointCloud.meets_run(addr, run)`` must give the verdict of
 ``meets_box(addr.run_box(run))`` bit for bit: membership is half open on
 the same float faces, a point on the overlap of two neighbouring columns'
 rounded faces lies in both, and a point in no column lies in none.  The
 searches reach it through ``porosity._freeness`` and never build a box.
+Each column is found once per thread and spatial grid.
 """
 
 import math
 import sys
+import threading
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -149,10 +152,30 @@ def test_a_point_outside_every_column_lies_in_none():
     # x = 0.5 is the root's upper spatial face: outside, as is everything
     # beyond it and below the lower face
     for level in range(3):
-        assert cloud._column_index(root, level) == {}
+        origins, w = root.column_grid(level)
+        for s in range(1 << (root.geom.d * level)):
+            assert cloud._column_times(origins, w, (s,), {}) == []
     # points inside land in their column, its times sorted
     inside = PointCloud(((0.25, -0.5), (-0.25, -0.75), (0.3, -0.9), (0.25, -1.0)))
-    assert inside._column_index(root, 1) == {(1,): [-0.75], (3,): [-1.0, -0.9, -0.5]}
+    origins, w = root.column_grid(1)
+    assert [inside._column_times(origins, w, (s,), {}) for s in range(4)] == \
+        [[], [-0.75], [], [-1.0, -0.9, -0.5]]
+
+
+def test_exact_coordinates_are_read_as_floats():
+    # a point given exactly just below a column's lower face rounds onto it,
+    # so the box test, which reads the float, puts it in that column
+    root = Root(GEOMETRIES[1, 2.0], (Fraction(0),), Fraction(0), Fraction(1))
+    column = root.address(1, (1,), 0)
+    face = column.run_box(1)[0][0][0]
+    x = Fraction(face) - Fraction(1, 2 ** 80)
+    assert face != 0 and float(x) == face
+    cloud = PointCloud(((x, column.run_faces(1)[0]), (0, 0)))
+    for s in range(4):
+        addr = root.address(1, (s,), 0)
+        for length in (1, 2):
+            assert cloud.meets_run(addr, length) is box_verdict(cloud, addr, length)
+    assert cloud.meets_run(column, 1) is Freeness.NONEMPTY
 
 
 def test_the_index_rejects_a_cloud_of_another_dimension(monkeypatch, capsys):
@@ -175,22 +198,62 @@ def no_box(self, box):
     raise AssertionError("a point cloud search tested a box")
 
 
-def test_a_stopping_report_builds_each_level_index_once(monkeypatch, capsys):
+def count_columns(monkeypatch):
+    """Record each column found, with the thread that found it."""
     builds = []
-    build = PointCloud._column_index
+    find = PointCloud._column_times
 
-    def counting(self, root, level):
-        builds.append((root, level))
-        return build(self, root, level)
+    def counting(self, origins, w, spatial, slabs):
+        builds.append((threading.get_ident(), origins, w, spatial))
+        return find(self, origins, w, spatial, slabs)
 
-    monkeypatch.setattr(PointCloud, "_column_index", counting)
+    monkeypatch.setattr(PointCloud, "_column_times", counting)
+    return builds
+
+
+def test_a_stopping_report_finds_each_column_once(monkeypatch, capsys):
+    builds = count_columns(monkeypatch)
     monkeypatch.setattr(PointCloud, "meets_box", no_box)
     monkeypatch.chdir(REPO)
     assert run(STOPPING) == 0
     capsys.readouterr()
     assert builds
-    assert len({root for root, _level in builds}) == 1
-    assert len(builds) == len({level for _root, level in builds})
+    assert len({origins for _thread, origins, _w, _s in builds}) == 1
+    assert len(builds) == len(set(builds))
+
+
+def test_roots_that_differ_in_time_share_their_columns(monkeypatch, layered_grid):
+    cloud = PointCloud(layered_grid.points)
+    root = Root(new_geometry(1, 2.0), (Fraction(1, 3),), Fraction(3, 7), Fraction(3, 7),
+                Fraction(1, 8))
+    later = root.translated(0.5)
+    assert later.top_time != root.top_time and later.column_grid(2) == root.column_grid(2)
+    builds = count_columns(monkeypatch)
+    for base in (root, later):
+        for addr, length in queries(base, [base.address(2, (1,), 3)]):
+            assert cloud.meets_run(addr, length) is box_verdict(cloud, addr, length)
+        if base is root:
+            found = len(builds)
+    assert found and len(builds) == found
+
+
+def test_workers_do_not_evict_each_other_s_columns(monkeypatch, layered_grid):
+    # roots on distinct spatial grids, searched by two workers that switch
+    # every microsecond: each worker finds each column of its grid once
+    geom = new_geometry(1, 2.0)
+    roots = draw_roots(geom, SamplerConfig(seed=7, samples=12))
+    assert len({root.column_grid(0)[0] for root in roots}) == len(roots)
+    builds = count_columns(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        porosity_curve(PointCloud(layered_grid.points), roots, [Fraction(1, 64)], 3, 2,
+                       threads=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({thread for thread, *_column in builds}) == 2
+    repeats = Counter(builds)
+    assert max(repeats.values()) == 1, repeats.most_common(3)
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5])
@@ -212,8 +275,8 @@ def test_walk_on_a_point_cloud_tests_no_box(monkeypatch, layered_grid, p):
 
 def test_point_cloud_reports_match_the_box_search_at_every_worker_count(monkeypatch,
                                                                       layered_grid):
-    # the workers share one cloud, and so its index slot: a search that
-    # read another root's index would change a covered fraction
+    # the workers share one cloud: a search that read another root's
+    # columns would change a covered fraction
     geom = new_geometry(1, 2.0)
     roots = draw_roots(geom, SamplerConfig(seed=5, samples=12))
     deltas = [Fraction(1, 2), Fraction(1, 64)]
