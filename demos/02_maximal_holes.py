@@ -11,11 +11,11 @@ from fractions import Fraction
 from parporo import Root, new_geometry
 from parporo.porosity import (admissible_collection, complementary_collection,
                               free_collection, maximal_hole)
-from parporo.sets import spatial_hyperplane
+from parporo.sets import SpatialHyperplane
 
 geom = new_geometry(1, 2.0)
 root = Root(geom, (Fraction(0),), Fraction(0), Fraction(1), Fraction(0))
-E = spatial_hyperplane(0, 0.0)
+E = SpatialHyperplane(0, 0.0)
 
 hole = maximal_hole(E, root.address(), depth_cap=3)
 print(f"maximal hole: level {hole.address.level}, side {hole.side}, "

@@ -10,14 +10,14 @@ gives a genuinely two-sided bracket instead, certified against refinement.
 from fractions import Fraction
 
 from parporo import Root, new_geometry
-from parporo.sets import single_point, spatial_hyperplane
+from parporo.sets import SpatialHyperplane, single_point
 from parporo.weights import WeightSpec, a1_ratio, annular_constant, integrate_weight
 
 geom = new_geometry(1, 2.0)
 root = Root(geom, (Fraction(0),), Fraction(0), Fraction(1), Fraction(0))
 spec = WeightSpec(beta=Fraction(1, 6), n=1, p=2.0)  # exponent q = 1/2
 
-plane = spatial_hyperplane(0, 0.0)
+plane = SpatialHyperplane(0, 0.0)
 out = a1_ratio(plane, root, theta=2.0, spec=spec, tol=1e-7)
 print("hyperplane weight, theta = 2:")
 print(f"  average over R      = {out.average}")

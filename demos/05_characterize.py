@@ -11,11 +11,11 @@ import json
 
 from parporo import new_geometry
 from parporo.improvement import HarnessConfig, characterization_harness
-from parporo.sets import single_point, spatial_hyperplane
+from parporo.sets import SpatialHyperplane, single_point
 
 geom = new_geometry(1, 2.0)
 
-for name, model in (("hyperplane x=0", spatial_hyperplane(0, 0.0)),
+for name, model in (("hyperplane x=0", SpatialHyperplane(0, 0.0)),
                     ("point (0,-1/2)", single_point(1, at=(0.0, -0.5)))):
     report = characterization_harness(
         model, geom, HarnessConfig(seed=0, samples=8, depth_cap=3,

@@ -23,7 +23,7 @@ from .porosity import (admissible_collection, complementary_collection,
                        hole_of_translate, maximal_hole, porosity_curve)
 from .sampling import SamplerConfig, draw_roots
 from .serialize import fraction_str, interval_json, number_str, parse_number
-from .sets import set_from_json
+from .sets import check_dimension, set_from_json
 from .weights import WeightSpec, a1_scan
 
 
@@ -230,7 +230,7 @@ def run(argv=None) -> int:
             result = {"cells": rows, "count": len(rows)}
 
         elif args.command == "maxhole":
-            model, _ = _require_set(args)
+            model, _ = _require_set(args, geom.n)
             root = _root(geom, cfg)
             hole = maximal_hole(model, root.address(), int(cfg["cap"]))
             result = {
@@ -247,7 +247,7 @@ def run(argv=None) -> int:
                 exit_code = 2
 
         elif args.command == "porosity":
-            model, _ = _require_set(args)
+            model, _ = _require_set(args, geom.n)
             roots = _scan_roots(geom, cfg)
             theta = _theta_default(cfg, geom)
             reports = porosity_curve(model, roots, _delta_list(cfg, geom), theta,
@@ -274,7 +274,7 @@ def run(argv=None) -> int:
                 exit_code = 2
 
         elif args.command == "a1":
-            model, _ = _require_set(args)
+            model, _ = _require_set(args, geom.n)
             theta = _finite(cfg, "theta") if cfg.get("theta") is not None else 2
             spec = WeightSpec(beta=float(_finite(cfg, "beta")), n=geom.n, p=geom.p)
             report = a1_scan(model, _scan_roots(geom, cfg), float(theta), spec,
@@ -335,7 +335,7 @@ def run(argv=None) -> int:
         elif args.command == "stopping":
             from .chains import (decay_check, stopping_partition, verify_nesting,
                                  verify_disjoint_from_admissible)
-            model, _ = _require_set(args)
+            model, _ = _require_set(args, geom.n)
             root = _root(geom, cfg)
             params = default_parameters(geom)
             cap = int(cfg["cap"])
@@ -382,7 +382,7 @@ def run(argv=None) -> int:
                 exit_code = 2
 
         elif args.command == "tower":
-            model, _ = _require_set(args)
+            model, _ = _require_set(args, geom.n)
             root = _root(geom, cfg)
             theta = _theta_default(cfg, geom)
             deltas = _delta_list(cfg, geom)
@@ -400,7 +400,7 @@ def run(argv=None) -> int:
                 exit_code = 2
 
         elif args.command == "characterize":
-            model, _ = _require_set(args)
+            model, _ = _require_set(args, geom.n)
             hc = HarnessConfig(seed=int(cfg["seed"]), samples=int(cfg["samples"]),
                                depth_cap=int(cfg["cap"]), threads=threads)
             result = characterization_harness(model, geom, hc)
@@ -420,10 +420,12 @@ def run(argv=None) -> int:
         return 1
 
 
-def _require_set(args):
+def _require_set(args, n: int):
     if not getattr(args, "set_def", None):
         raise CliError("this subcommand requires --set (file path or inline JSON)")
-    return _load_set(args.set_def)
+    model, p = _load_set(args.set_def)
+    check_dimension(model, n)  # a ValueError, so exit 1
+    return model, p
 
 
 def main() -> None:

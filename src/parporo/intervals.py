@@ -155,14 +155,15 @@ def _coerce(x: "Interval | float") -> Interval:
 
 
 def interval_sum(parts) -> Interval:
-    """Certified sum of brackets (endpoint sums, outward rounded).
+    """Certified sum of brackets given as ``(lo, hi)`` float pairs
+    (endpoint sums, outward rounded).
 
     Callers that need bit-identical output across worker counts must pass
     ``parts`` in a deterministic order.
     """
     lo = 0.0
     hi = 0.0
-    for part in parts:
-        lo = _down(lo + part.lo)
-        hi = _up(hi + part.hi)
+    for part_lo, part_hi in parts:
+        lo = _down(lo + part_lo)
+        hi = _up(hi + part_hi)
     return Interval(lo, hi)

@@ -39,6 +39,8 @@ def parse_number(s):
         return math.inf
     if text == "-inf":
         return -math.inf
+    if "." in text or "e" in text or "E" in text:
+        return float(text)  # int() accepts none of these
     try:
         return int(text)
     except ValueError:

@@ -180,11 +180,11 @@ class _HeldColumns(threading.local):
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite set of space-time points (vectorized over the cloud).
+    """Finite set of space-time points.
 
-    The coordinate arrays ``_xs``/``_ts`` hold the points sorted by time, so
-    ``meets_box`` bisects the time window; the distance queries take minima
-    over the points, which do not depend on that order.
+    Distance queries take minima over the points: for at most 12 points in
+    one plain-float pass over them, split once into (spatial tuple, time),
+    else over numpy arrays ``_xs``/``_ts`` sorted by time, as ``meets_box``.
 
     ``meets_run`` reads the sorted times of the points in the run's spatial
     column instead, found once per column by bisecting the points one
@@ -213,6 +213,9 @@ class PointCloud:
         arr = arr[np.argsort(arr[:, -1], kind="stable")]
         object.__setattr__(self, "_xs", arr[:, :-1])
         object.__setattr__(self, "_ts", arr[:, -1])
+        object.__setattr__(self, "_n", arr.shape[1] - 1)
+        object.__setattr__(self, "_split", tuple((z[:-1], z[-1]) for z in self.points)
+                           if len(self.points) <= 12 else None)
         # each thread's columns, and the points sorted along the first
         # spatial axis, sorted on the first column
         object.__setattr__(self, "_columns", _HeldColumns())
@@ -223,67 +226,61 @@ class PointCloud:
         return True
 
     def distance(self, pt: Sequence[float], p: float) -> Interval:
-        *x, t = (float(v) for v in pt)
-        inv = 1.0 / p
-        if len(self.points) <= 12:
-            best = math.inf
-            for z in self.points:
-                sp = max((abs(a - b) for a, b in zip(z[:-1], x)), default=0.0)
-                best = min(best, max(sp, abs(z[-1] - t) ** inv))
-            return Interval.point(best)
-        sp = np.abs(self._xs - np.asarray(x)).max(axis=1) if self._xs.shape[1] \
-            else np.zeros(len(self._ts))
-        d = np.maximum(sp, np.abs(self._ts - t) ** inv)
-        return Interval.point(float(d.min()))
-
-    def _gap_span_arrays(self, box: Box, p: float):
-        """Per-point (inf, sup) of the distance over the box closure, as
-        numpy arrays in time order."""
-        bounds, (tlo, thi) = box
-        inv = 1.0 / p
-        lo = np.asarray([b[0] for b in bounds])
-        hi = np.asarray([b[1] for b in bounds])
-        gaps = np.maximum(np.maximum(lo - self._xs, self._xs - hi), 0.0)
-        spans = np.maximum(np.abs(lo - self._xs), np.abs(hi - self._xs))
-        sp_gap = gaps.max(axis=1) if gaps.shape[1] else np.zeros(len(self._ts))
-        sp_span = spans.max(axis=1) if spans.shape[1] else np.zeros(len(self._ts))
-        t_gap = np.maximum(np.maximum(tlo - self._ts, self._ts - thi), 0.0)
-        t_span = np.maximum(np.abs(tlo - self._ts), np.abs(thi - self._ts))
-        return np.maximum(sp_gap, t_gap ** inv), np.maximum(sp_span, t_span ** inv)
+        *x, t = (float(v) for v in pt)  # the least gap to pt as a box
+        return Interval.point(self._gap_span_summary((tuple(zip(x, x)), (t, t)), p)[0])
 
     def _gap_span_summary(self, box: Box, p: float
                           ) -> tuple[float, float, float, list[float]]:
         """Over the points, with a point's gap and span the inf and an upper
         bound on the sup of its distance over the box closure: the least gap,
         the least span, the least positive gap (``inf`` when none), and the
-        spans of the points at gap 0, in point order.
-
-        One pass in plain floats, for clouds of at most 12 points, where
-        numpy round trips dominate; larger ones read ``_gap_span_arrays``.
+        spans of the points at gap 0, in point order (time order for a
+        large cloud).
         """
         bounds, (tlo, thi) = box
-        inv = 1.0 / p
+        n, inv = self._n, 1.0 / p
+        if len(bounds) != n:
+            raise ValueError("the cloud and the box differ in spatial dimension")
+        if self._split is None:
+            xs, ts = self._xs, self._ts
+            lo, hi = np.asarray([b[0] for b in bounds]), np.asarray([b[1] for b in bounds])
+            gaps = np.maximum(np.maximum(lo - xs, xs - hi), 0.0)
+            spans = np.maximum(np.abs(lo - xs), np.abs(hi - xs))
+            gaps = np.maximum(gaps.max(axis=1) if n else np.zeros(len(ts)),
+                              np.maximum(np.maximum(tlo - ts, ts - thi), 0.0) ** inv)
+            spans = np.maximum(spans.max(axis=1) if n else np.zeros(len(ts)),
+                               np.maximum(np.abs(tlo - ts), np.abs(thi - ts)) ** inv)
+            far = gaps > 0.0
+            return (float(gaps.min()), float(spans.min()),
+                    float(gaps[far].min(initial=math.inf)), spans[~far].tolist())
         inf_lo = sup_hi = far_gap = math.inf
         near = []
-        for z in self.points:
-            # per-axis maxima of gaps and spans, all >= 0, so starting from
-            # 0.0 gives the same floats as ``max(..., default=0.0)``
-            inf_sp = sup_sp = 0.0
-            for (lo, hi), x in zip(bounds, z):
-                gap = lo - x if x < lo else (x - hi if x > hi else 0.0)
-                if gap > inf_sp:
-                    inf_sp = gap
-                span = abs(lo - x)
-                if abs(hi - x) > span:
-                    span = abs(hi - x)
-                if span > sup_sp:
-                    sup_sp = span
-            zt = z[-1]
-            gap = tlo - zt if zt < tlo else (zt - thi if zt > thi else 0.0)
-            span = abs(tlo - zt)
-            if abs(thi - zt) > span:
-                span = abs(thi - zt)
-            g, sp = gap ** inv, span ** inv
+        for zx, zt in self._split:
+            # per axis the gap and the larger end distance (x - lo and hi - x
+            # are |lo - x| and |hi - x| bit for bit), maxima over the axes
+            if n == 1:
+                (xlo, xhi), = bounds
+                x, = zx
+                if x < xlo:
+                    inf_sp, sup_sp = xlo - x, xhi - x
+                elif x > xhi:
+                    inf_sp, sup_sp = x - xhi, x - xlo
+                else:
+                    inf_sp, sup_sp = 0.0, x - xlo
+                    if xhi - x > sup_sp:
+                        sup_sp = xhi - x
+            else:
+                inf_sp = sup_sp = 0.0
+                for (lo, hi), x in zip(bounds, zx):
+                    gap, span = ((lo - x, hi - x) if x < lo else (x - hi, x - lo)
+                                 if x > hi else (0.0, max(x - lo, hi - x)))
+                    inf_sp, sup_sp = max(inf_sp, gap), max(sup_sp, span)
+            if zt < tlo:
+                g, sp = (tlo - zt) ** inv, (thi - zt) ** inv
+            elif zt > thi:
+                g, sp = (zt - thi) ** inv, (zt - tlo) ** inv
+            else:  # 0.0 ** inv is 0.0
+                g, sp = 0.0, (zt - tlo if zt - tlo >= thi - zt else thi - zt) ** inv
             if inf_sp > g:
                 g = inf_sp
             if sup_sp > sp:
@@ -301,9 +298,6 @@ class PointCloud:
 
     def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
         """(inf over box of dist, an upper bound on sup over box of dist)."""
-        if len(self.points) > 12:
-            gaps, spans = self._gap_span_arrays(box, p)
-            return float(gaps.min()), float(spans.min())
         return self._gap_span_summary(box, p)[:2]
 
     def cell_weight(self, box: Box, q: float, p: float) -> CellWeight:
@@ -313,31 +307,26 @@ class PointCloud:
         It uses ``|{dist_p(., z) <= r}| = 2^(n+1) r^(n+p)`` twice: the plain
         ball integral up to the cell's sup distance, and the sharper variant
         with layer measures clipped at |cell|; the minimum of the two is
-        sound.
+        sound.  The floats are those of ``_box_measure`` and ``_gap_span_weight``.
         """
-        n = len(box[0])
-        s = n + p
-        if len(self.points) > 12:
-            gaps, spans = self._gap_span_arrays(box, p)
-            far = gaps > 0.0
-            inf_lo, sup_hi = float(gaps.min()), float(spans.min())
-            far_gap = float(gaps[far].min(initial=math.inf))
-            near = spans[~far].tolist()
-        else:
-            inf_lo, sup_hi, far_gap, near = self._gap_span_summary(box, p)
-        cell = _gap_span_weight(box, q, inf_lo, sup_hi, diverged=q >= s)
-        if inf_lo > 0.0 or q >= s:
-            return cell
-        lo = cell[0]
+        inf_lo, sup_hi, far_gap, near = self._gap_span_summary(box, p)
+        bounds, (tlo, thi) = box
+        measure = thi - tlo
+        for lo, hi in bounds:
+            measure *= hi - lo
+        lo = measure * sup_hi ** -q if sup_hi > 0 else 0.0
+        if inf_lo > 0.0:
+            return lo, measure * inf_lo ** -q, False, False
+        s = len(bounds) + p
+        if q >= s:
+            return lo, math.inf, True, False
         factor = s / (s - q)
-        ball = 2.0 ** (n + 1)
-        measure = _box_measure(box)
+        ball = 2.0 ** (len(bounds) + 1)
         clipped = measure ** (1.0 - q / s) * ball ** (q / s) * factor
         near_total = 0.0
         for sp in near:
             near_total += min(ball * factor * sp ** (s - q), clipped)
-        far_part = 0.0 if math.isinf(far_gap) else measure * _pow_neg(far_gap, q)
-        hi = near_total + far_part
+        hi = near_total + (0.0 if math.isinf(far_gap) else measure * far_gap ** -q)
         return min(lo, hi), hi, False, False
 
     def meets_box(self, box: Box) -> Freeness:
@@ -387,7 +376,7 @@ class PointCloud:
         axis, so the columns of one slab share it and a column costs the
         points in its slab.
         """
-        if len(origins) != self._xs.shape[1]:
+        if len(origins) != self._n:
             raise ValueError("the cloud and the lattice differ in spatial dimension")
         rows = self._by_first_axis
         if rows is None:
@@ -442,19 +431,13 @@ class BoxUnion(_RunAsBox):
 
     @property
     def is_null(self) -> bool:
-        return all(
-            any(lo == hi for lo, hi in bounds) or tlo == thi
-            for bounds, (tlo, thi) in self.boxes
-        )
-
-    def _dist_to_box(self, b: Box, pt: Sequence[float], p: float) -> float:
-        bounds, (tlo, thi) = b
-        *x, t = pt
-        sp = max((_axis_gap(lo, hi, v) for (lo, hi), v in zip(bounds, x)), default=0.0)
-        return max(sp, _axis_gap(tlo, thi, t) ** (1.0 / p))
+        return all(any(lo == hi for lo, hi in bounds) or tlo == thi
+                   for bounds, (tlo, thi) in self.boxes)
 
     def distance(self, pt: Sequence[float], p: float) -> Interval:
-        return Interval.point(min(self._dist_to_box(b, pt, p) for b in self.boxes))
+        *x, t = pt  # the least gap to pt as a box
+        box = tuple(zip(x, x)), (t, t)
+        return Interval.point(min(self._box_range_single(b, box, p)[0] for b in self.boxes))
 
     def _box_range_single(self, b: Box, box: Box, p: float) -> tuple[float, float]:
         (ebounds, (etlo, ethi)) = b
@@ -708,8 +691,12 @@ class IFSFractal(_RunAsBox):
         # its span to the root box's center plus half the root's widest side
         sup_hi = max((_axis_span(qlo, qhi, (rl + rh) / 2)
                       for (qlo, qhi), (rl, rh) in zip(bounds, self._box)), default=0.0)
+        sup_hi += max(rh - rl for rl, rh in self._box) / 2
+        # nor than at its center plus its reach: dist(., C) is 1-Lipschitz
+        c = tuple(0.5 * (qlo + qhi) for qlo, qhi in bounds)
+        reach = _up(max((_axis_span(*b, v) for b, v in zip(bounds, c)), default=0.0))
         return (self._inf_bracket(bounds)[0],
-                sup_hi + max(rh - rl for rl, rh in self._box) / 2)
+                min(sup_hi, _up(self._inf_bracket(tuple(zip(c, c)))[1] + reach)))
 
     def meets_box(self, box: Box) -> Freeness:
         bounds, _ = box
@@ -750,6 +737,17 @@ class IFSFractal(_RunAsBox):
 ClosedSetModel = PointCloud | BoxUnion | HalfSpaceTime | SpatialHyperplane | IFSFractal
 
 
+def check_dimension(model: ClosedSetModel, n: int) -> None:
+    """Refuse a model whose points, boxes or maps lack ``n`` spatial axes,
+    or a hyperplane across an axis beyond them (half spaces have none)."""
+    dims = ({len(z) - 1 for z in model.points} if isinstance(model, PointCloud) else
+            {len(b) for b, _ in model.boxes} if isinstance(model, BoxUnion) else
+            {len(m.shift) for m in model.maps} if isinstance(model, IFSFractal) else
+            {n if 0 <= model.axis < n else -1} if isinstance(model, SpatialHyperplane) else {n})
+    if dims != {n}:
+        raise ValueError(f"the set does not fit the lattice's {n} spatial dimension(s)")
+
+
 def _box_probe_points(box: Box) -> list[Point]:
     """Corners and center of a box (closure), used as sup-distance witnesses."""
     bounds, (tlo, thi) = box
@@ -759,8 +757,7 @@ def _box_probe_points(box: Box) -> list[Point]:
         x = tuple(bounds[j][1] if mask & (1 << j) else bounds[j][0] for j in range(n))
         pts.append((*x, tlo))
         pts.append((*x, thi))
-    center = tuple(0.5 * (lo + hi) for lo, hi in bounds) + (0.5 * (tlo + thi),)
-    pts.append(center)
+    pts.append(tuple(0.5 * (lo + hi) for lo, hi in bounds) + (0.5 * (tlo + thi),))
     return pts
 
 
@@ -787,9 +784,11 @@ def sup_distance_bracket(model: ClosedSetModel, box: Box, p: float,
 
     A zero-width first bracket (one point, one box, a half space, the
     hyperplane) returns at once; otherwise branch-and-bound on halved
-    boxes, splitting the parabolically longest axis.  Returns
-    ``(bracket, converged)``.
+    boxes, splitting the parabolically longest axis, never time on a
+    time-invariant model.  Returns ``(bracket, converged)``.
     """
+    if model.time_invariant:  # the distance does not read time
+        box = box[0], (box[1][0], box[1][0])
     first = _sup_bracket(model, box, p)
     if first.width <= tol:
         return first, True
@@ -809,10 +808,8 @@ def sup_distance_bracket(model: ClosedSetModel, box: Box, p: float,
             heapq.heappush(heap, (-s.hi, counter, half))
             counter += 1
         processed += 1
-    sup_hi = max((-h for h, _, _ in heap), default=best_lo)
-    sup_hi = max(sup_hi, best_lo)
-    converged = sup_hi - best_lo <= tol
-    return Interval(best_lo, sup_hi), converged
+    sup_hi = max(max((-h for h, _, _ in heap), default=best_lo), best_lo)
+    return Interval(best_lo, sup_hi), sup_hi - best_lo <= tol
 
 
 def _sup_bracket(model: ClosedSetModel, box: Box, p: float) -> Interval:
@@ -827,6 +824,13 @@ def _split_box(box: Box, p: float) -> tuple[Box, Box]:
     """The two halves of the box, lower half first, across its first widest
     spatial axis, or across time when the time side is parabolically longer."""
     bounds, (tlo, thi) = box
+    if len(bounds) == 1:  # the rest, unrolled
+        (lo, hi), = bounds
+        if hi - lo >= (thi - tlo) ** (1.0 / p):
+            mid = 0.5 * (lo + hi)
+            return (((lo, mid),), (tlo, thi)), (((mid, hi),), (tlo, thi))
+        mid = 0.5 * (tlo + thi)
+        return (bounds, (tlo, mid)), (bounds, (mid, thi))
     j, widest = -1, -math.inf
     for i, (lo, hi) in enumerate(bounds):
         if hi - lo > widest:
@@ -859,10 +863,6 @@ def integer_grid(n: int = 1, spatial_extent: int = 8, time_depth: int = 8,
         for m in range(0, time_depth + 1):
             pts.append(tuple(v * spacing + offset for v in z) + (-(m * spacing) + offset,))
     return PointCloud(tuple(pts))
-
-
-def spatial_hyperplane(axis: int = 0, value: float = 0.0) -> SpatialHyperplane:
-    return SpatialHyperplane(axis, value)
 
 
 def cantor_times_time(p: float = 2.0, depth_cap: int = 24) -> IFSFractal:

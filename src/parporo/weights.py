@@ -9,22 +9,22 @@ integrand on a cell at positive distance.  Where no closure exists (a cell
 that touches the IFS attractor) the result is a flagged lower bound, never
 a silent guess; this module knows no model class.
 
-Cells travel through the refinement as plain float pairs ``(lo, hi)``
-that every cell bound checks for NaN and order; ``Interval`` objects are
-formed only where the leaves' certified sum is taken.
+Cells travel through the refinement, and into the leaves' certified sum,
+as plain float pairs ``(lo, hi)`` that every cell bound checks for NaN and
+order; the only ``Interval`` of an integral is its total.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .geometry import ParabolicRectangle, Root
 from .intervals import Interval, interval_sum
 from .sampling import run_indexed
-from .sets import Box, ClosedSetModel, _split_box, sup_distance_bracket
+from .sets import AxisBounds, Box, ClosedSetModel, _split_box, sup_distance_bracket
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class WeightSpec:
     beta: float
     n: int
     p: float
+    # the exponent, worked out once: every bound cell reads it
+    q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -42,10 +44,7 @@ class WeightSpec:
             raise ValueError("p must exceed 1")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-
-    @property
-    def q(self) -> float:
-        return self.beta * (self.n + self.p)
+        object.__setattr__(self, "q", self.beta * (self.n + self.p))
 
     @property
     def integrable_near_null_sets(self) -> bool:
@@ -60,10 +59,6 @@ class IntegrationResult:
     diverged: bool
     lower_only: bool
     cells: int
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value.hi)
 
 
 def _finite_box(rect: ParabolicRectangle, p: float) -> Box:
@@ -105,52 +100,57 @@ def integrate_weight(model: ClosedSetModel, rect: ParabolicRectangle,
     Widest-contribution-first refinement with a deterministic tie order;
     stops when the bracket's relative width reaches ``tol`` or the cell
     budget runs out (flagged via ``converged``).  Cells are bounded by
-    ``_bound_cell`` and kept as float pairs: the heap holds
-    ``(-width, counter, box, lo, hi)`` and settled cells ``(box, lo, hi)``;
-    the leaves become ``Interval``s only for their certified sum.
+    ``_bound_cell``; the heap holds ``(-width, counter, box, lo, hi)``, a
+    leaf is ``(tlo, bounds, index, lo, hi)`` with its index among the
+    settled cells and then the heap's, so a plain sort keeps ties in that
+    order, and the certified sum runs over the leaves' ``(lo, hi)``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
 
     p = spec.p
+    # read once per call: the tracer patches the module's _bound_cell
+    bound_cell, split, push, pop = _bound_cell, _split_box, heapq.heappush, heapq.heappop
     heap: list[tuple[float, int, Box, float, float]] = []
-    settled: list[tuple[Box, float, float]] = []
+    settled: list[tuple[float, AxisBounds, int, float, float]] = []
     counter = 0
-    diverged = False
-    lower_only = False
+    diverged = lower_only = False
     # running endpoint sums steer the refinement; the certified bracket is
     # re-summed once at the end in a worker-independent order
-    run_lo = 0.0
-    run_hi = 0.0
+    run_lo = run_hi = 0.0
     pending = [_finite_box(rect, p)]
     processed = 0
     while True:
         for box in pending:
-            lo, hi, cell_diverged, cell_lower_only = _bound_cell(model, box, spec)
+            lo, hi, cell_diverged, cell_lower_only = bound_cell(model, box, spec)
             diverged |= cell_diverged
             lower_only |= cell_lower_only
             run_lo += lo
             run_hi += hi
             width = hi - lo
-            if cell_diverged or cell_lower_only or not math.isfinite(width) or width <= 0:
-                settled.append((box, lo, hi))
+            if cell_diverged or cell_lower_only or not 0.0 < width < math.inf:
+                settled.append((box[1][0], box[0], len(settled), lo, hi))
             else:
-                heapq.heappush(heap, (-width, counter, box, lo, hi))
+                push(heap, (-width, counter, box, lo, hi))
             counter += 1
         if not heap or processed >= max_cells:
             break
         scale = max(abs(run_lo + run_hi) * 0.5, 1e-300)
         if math.isfinite(run_hi) and run_hi - run_lo <= 0.9 * tol * scale:
             break
-        _, _, box, lo, hi = heapq.heappop(heap)
+        _, _, box, lo, hi = pop(heap)
         run_lo -= lo
         run_hi -= hi
-        pending = _split_box(box, p)
+        pending = split(box, p)
         processed += 1
 
-    leaves = settled + [(box, lo, hi) for _, _, box, lo, hi in heap]
-    leaves.sort(key=lambda leaf: (leaf[0][1][0], leaf[0][0]))
-    total = interval_sum([Interval(lo, hi) for _, lo, hi in leaves])
+    # the heap's cells become leaves one by one, so both are never held
+    leaves, base = settled, len(settled)
+    while heap:
+        _, _, box, lo, hi = heap.pop()
+        leaves.append((box[1][0], box[0], base + len(heap), lo, hi))
+    leaves.sort()
+    total = interval_sum((lo, hi) for _, _, _, lo, hi in leaves)
     scale = max(abs(total.mid), 1e-300)
     converged = math.isfinite(total.hi) and total.width <= tol * scale
     return IntegrationResult(value=total, converged=converged,

@@ -185,11 +185,24 @@ def halton_array(count: int, base: int):
 
 def _reference_gaps_spans(model, box, p):
     """Per-point ``(gaps, spans)`` of a point cloud: generator maxima for
-    small clouds; large clouds go through the model's numpy arrays."""
-    if len(model.points) > 12:
-        return model._gap_span_arrays(box, p)
+    small clouds; for large clouds numpy arrays over the points sorted by
+    time, with numpy's own powers, as the model takes them."""
     bounds, (tlo, thi) = box
     inv = 1.0 / p
+    if len(model.points) > 12:
+        import numpy as np
+        arr = np.asarray(model.points, dtype=float)
+        arr = arr[np.argsort(arr[:, -1], kind="stable")]
+        xs, ts = arr[:, :-1], arr[:, -1]
+        lo = np.asarray([b[0] for b in bounds])
+        hi = np.asarray([b[1] for b in bounds])
+        gaps = np.maximum(np.maximum(lo - xs, xs - hi), 0.0)
+        spans = np.maximum(np.abs(lo - xs), np.abs(hi - xs))
+        sp_gap = gaps.max(axis=1) if gaps.shape[1] else np.zeros(len(ts))
+        sp_span = spans.max(axis=1) if spans.shape[1] else np.zeros(len(ts))
+        t_gap = np.maximum(np.maximum(tlo - ts, ts - thi), 0.0)
+        t_span = np.maximum(np.abs(tlo - ts), np.abs(thi - ts))
+        return np.maximum(sp_gap, t_gap ** inv), np.maximum(sp_span, t_span ** inv)
     gaps, spans = [], []
     for *zx, zt in model.points:
         inf_sp = max((_axis_gap(lo, hi, x) for (lo, hi), x in zip(bounds, zx)),
@@ -419,7 +432,7 @@ def reference_integrate(model, rect, spec, tol=1e-6, max_cells=40000):
 
     leaves = settled + [c for _, _, c in heap]
     leaves.sort(key=lambda c: (c.box[1][0], c.box[0]))
-    total = interval_sum([c.bracket for c in leaves])
+    total = interval_sum([(c.bracket.lo, c.bracket.hi) for c in leaves])
     scale = max(abs(total.mid), 1e-300)
     converged = math.isfinite(total.hi) and total.width <= tol * scale
     return IntegrationResult(value=total, converged=converged, diverged=diverged,

@@ -227,3 +227,28 @@ def test_input_errors_exit_cleanly(capsys, monkeypatch, env, argv):
     assert code == 1 and out == ""
     assert err.startswith("parporo: error:")
     assert "Traceback" not in err
+
+
+BOXES_1D = json.dumps({"type": "boxes",
+                       "boxes": [{"spatial": [["0", "1"]], "temporal": ["0", "1"]}]})
+HYPERPLANE_AXIS_1 = json.dumps({"type": "hyperplane", "axis": 1, "value": "0"})
+
+
+@pytest.mark.parametrize("command", [("a1", "--samples", "1"),
+                                     ("characterize", "--samples", "1", "--cap", "1"),
+                                     ("porosity", "--samples", "1", "--cap", "1")],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("set_def,n", [(POINT, "2"), (str(FIXTURES / "cantor.json"), "2"),
+                                       (BOXES_1D, "2"), (HYPERPLANE_AXIS_1, "1")],
+                         ids=["points", "ifs", "boxes", "hyperplane"])
+def test_set_of_another_spatial_dimension_exits_1(capsys, command, set_def, n):
+    code, out, err = run_cli(capsys, *command, "--set", set_def, "--n", n, "--seed", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("parporo: error: the set does not fit the lattice's")
+    assert "dimension" in err and "Traceback" not in err
+
+
+def test_half_space_has_no_spatial_dimension(capsys):
+    halfspace = str(FIXTURES / "halfspace.json")
+    code, out, _ = run_cli(capsys, "maxhole", "--set", halfspace, "--n", "2", "--cap", "0")
+    assert code in (0, 2) and report_of(out)["command"] == "maxhole"

@@ -57,7 +57,7 @@ def test_zero_power_of_negative_exponent_is_infinite():
 
 
 def test_interval_sum_contains_componentwise():
-    parts = [Interval(0.1, 0.2), Interval(-0.05, 0.0), Interval(1.0, 1.0)]
+    parts = [(0.1, 0.2), (-0.05, 0.0), (1.0, 1.0)]
     total = interval_sum(parts)
     assert total.lo <= 0.1 - 0.05 + 1.0 <= 0.2 + 0.0 + 1.0 <= total.hi
 

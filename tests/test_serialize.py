@@ -1,0 +1,62 @@
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parporo.serialize import number_str, parse_number
+
+
+def parse_by_int_first(s):
+    """``parse_number`` as it was before decimal text skipped ``int()``."""
+    if isinstance(s, (int, float, Fraction)):
+        return s
+    text = str(s).strip()
+    if "/" in text:
+        return Fraction(text)
+    if text == "inf":
+        return math.inf
+    if text == "-inf":
+        return -math.inf
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def outcome(parse, text):
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    # nan equals no value, itself included
+    return type(value), "nan" if value != value else value
+
+
+SIGNS = st.sampled_from(("", "-", "+"))
+SPACE = st.sampled_from(("", " ", "\t", "\n "))
+DIGITS = st.text("0123456789_", min_size=0, max_size=6)
+NUMERAL = st.one_of(
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.floats().map(str),
+    st.fractions().map(str),
+    st.builds(lambda a, b: f"{a}.{b}", DIGITS, DIGITS),
+    st.builds(lambda m, e, k: f"{m}{e}{k}", DIGITS, st.sampled_from("eE"),
+              st.integers(-400, 400)),
+    st.sampled_from(("inf", "-inf", "+inf", "Infinity", "nan", "NaN", "-nan", "1_000",
+                     "1__0", "_1", "1.5e", "e5", ".", "", "0x10", "1/0", "١٢")),
+    st.text("0123456789.eE+-_ /ianf", max_size=8),
+)
+
+
+@given(sign=SIGNS, body=NUMERAL, before=SPACE, after=SPACE)
+@settings(max_examples=500, deadline=None)
+def test_parse_number_answers_as_the_int_first_parse(sign, body, before, after):
+    text = before + sign + body + after
+    assert outcome(parse_number, text) == outcome(parse_by_int_first, text)
+
+
+@given(st.one_of(st.integers(), st.floats(allow_nan=False), st.fractions()))
+def test_parse_number_inverts_number_str(x):
+    assert parse_number(number_str(x)) == x

@@ -8,13 +8,38 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parporo.geometry import ParabolicRectangle
+from parporo.intervals import Interval
 from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal,
                           PointCloud, SpatialHyperplane, _gap_span_weight, _sup_bracket,
                           cantor_times_time, distance_to_set, integer_grid,
                           parabolic_distance, rectangle_free, set_from_json, set_to_json,
                           single_point, sup_distance_bracket)
 
-from oracles import exact_cylinders, exact_gap, reference_dist_box_range
+from oracles import exact_cylinders, exact_gap, exact_sup, reference_dist_box_range
+
+
+QUARTERS = st.integers(-12, 12).map(lambda k: k / 4)
+
+
+@given(n=st.integers(0, 2), size=st.sampled_from((1, 3, 12, 13, 20)), p=st.sampled_from((2.0, 1.5)),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_cloud_and_box_distances_are_the_least_metric_distance(n, size, p, data):
+    # the clouds' and box unions' distance is a gap to the point as a box:
+    # the least parabolic distance to a member, bit for bit except where a
+    # large cloud's numpy powers round otherwise
+    coords = st.tuples(*[QUARTERS] * (n + 1))
+    pts = data.draw(st.lists(coords, min_size=size, max_size=size))
+    pt = data.draw(coords)
+    want = min(parabolic_distance(z, pt, p) for z in pts)
+    got = PointCloud(tuple(pts)).distance(pt, p)
+    assert got.lo == got.hi
+    if size <= 12:
+        assert got.lo == want
+    else:
+        assert math.isclose(got.lo, want, rel_tol=2.0 ** -50)
+    boxes = BoxUnion(tuple((tuple((v, v) for v in z[:-1]), (z[-1], z[-1])) for z in pts))
+    assert boxes.distance(pt, p) == Interval.point(want)
 
 
 def test_metric_examples():
@@ -384,7 +409,8 @@ def test_cantor_queries_match_the_exact_cylinders(box, q):
 
 
 def test_a_box_over_the_whole_cantor_set_stops_at_the_root(monkeypatch):
-    # the root's witness lies in the box, so no query refines a cylinder
+    # the root's witness lies in the box, so neither the inf bracket nor
+    # freeness refines a cylinder
     calls = 0
     children = IFSFractal._children
 
@@ -395,10 +421,28 @@ def test_a_box_over_the_whole_cantor_set_stops_at_the_root(monkeypatch):
 
     monkeypatch.setattr(IFSFractal, "_children", counting)
     box = (((-1.0, 2.0),), (0.0, 1.0))
-    assert CANTOR.dist_box_gap_span(box, 2.0) == (0.0, 2.0)
+    assert CANTOR._inf_bracket(box[0]) == (0.0, 0.0)
     assert CANTOR.meets_box(box) is Freeness.NONEMPTY
-    assert CANTOR.cell_weight(box, 0.3, 2.0)[1:] == (math.inf, False, True)
     assert calls == 0
+    # the sup bound reads the distance 1/6 at the box's centre 1/2, plus
+    # the reach 3/2: below the root-box bound 2, and above the sup 1
+    inf, sup = CANTOR.dist_box_gap_span(box, 2.0)
+    assert inf == 0.0 and 1.0 <= sup < 2.0
+    assert CANTOR.cell_weight(box, 0.3, 2.0)[1:] == (math.inf, False, True)
+
+
+@given(box=cantor_boxes())
+@settings(max_examples=40, deadline=None)
+def test_cantor_sup_bracket_converges_and_holds_the_exact_sup(box):
+    # the sup bound shrinks with the box, so branch and bound converges
+    # well inside its budget; the true sup lies between the sups of the
+    # distances to the depth-10 cells (which cover E) and to the depth-10
+    # points (which lie in E), and the bracket must meet that range
+    sup, converged = sup_distance_bracket(CANTOR, box, 2.0, tol=1e-9, max_cells=2000)
+    assert converged
+    ((lo, hi),), _ = box
+    a, b = Fraction(lo), Fraction(hi)
+    assert _overlaps(sup.lo, sup.hi, exact_sup(CELLS, a, b), exact_sup(POINTS, a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parporo import weights
@@ -228,8 +228,9 @@ def test_hyperplane_closed_form_above_q_one(x):
 
 
 COORDS = st.integers(-8, 8).map(lambda k: k / 4)
-KINDS = ("point", "cloud3", "cloud20", "hyperplane", "past", "future",
-         "boxes-null", "boxes", "cantor")
+# clouds of 12 and 13 points sit on either side of the plain-float pass
+CLOUD_SIZES = {"point": 1, "cloud3": 3, "cloud12": 12, "cloud13": 13, "cloud20": 20}
+KINDS = (*CLOUD_SIZES, "hyperplane", "past", "future", "boxes-null", "boxes", "cantor")
 
 
 @st.composite
@@ -249,9 +250,8 @@ def weight_cases(draw):
         return (tuple((a, a + e) for a, e in zip(lo[:-1], ext[:-1])),
                 (lo[-1], lo[-1] + ext[-1]))
 
-    if kind in ("point", "cloud3", "cloud20"):
-        model = PointCloud(tuple(point() for _ in range({"point": 1, "cloud3": 3,
-                                                         "cloud20": 20}[kind])))
+    if kind in CLOUD_SIZES:
+        model = PointCloud(tuple(point() for _ in range(CLOUD_SIZES[kind])))
     elif kind == "hyperplane":
         model = SpatialHyperplane(draw(st.integers(0, n - 1)), draw(COORDS))
     elif kind in ("past", "future"):
@@ -271,7 +271,20 @@ def weight_cases(draw):
     return model, rect, spec, tol, draw(st.integers(0, 60))
 
 
+def diverging_cloud_case(size, n, p, q):
+    """A cloud whose first point lies in the unit rectangle, at q >= n + p:
+    the cells that touch it carry an infinite integral."""
+    rng = random.Random(size)
+    pts = ((0.0,) * n + (-0.5,),
+           *(tuple(rng.uniform(-3.0, 3.0) for _ in range(n + 1)) for _ in range(size - 1)))
+    return (PointCloud(pts), ParabolicRectangle((0.0,) * n, 0.0, 1.0),
+            WeightSpec(beta=q / (n + p), n=n, p=p), 1e-2, 40)
+
+
 @given(case=weight_cases())
+@example(case=diverging_cloud_case(1, 1, 2.0, 3.0))
+@example(case=diverging_cloud_case(12, 2, 1.5, 4.0))
+@example(case=diverging_cloud_case(13, 1, 1.5, 4.0))
 @settings(max_examples=300, deadline=None)
 def test_integrator_matches_reference_bit_for_bit(case):
     model, rect, spec, tol, max_cells = case
