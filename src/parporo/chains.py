@@ -11,13 +11,14 @@ witnesses, so the laws are checked as stated).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import mpmath
 
-from .geometry import DyadicAddress, Geometry, Root, StoppingParams
+from .geometry import DyadicAddress, Geometry, Root, StoppingParams, _to_fraction
 from .porosity import CollectionReport, HoleResult, hole_of_translate, maximal_hole
 from .sets import ClosedSetModel
 
@@ -303,14 +304,6 @@ def doubling_sigma(model: ClosedSetModel, bases: Iterable[DyadicAddress],
 # ---------------------------------------------------------------------------
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(float(x))
-
-
 @dataclass(frozen=True)
 class ChainPlan:
     """Concrete chain of rectangles linking a deep cell of a first-layer
@@ -363,9 +356,7 @@ class ChainPlan:
     def checks(self) -> dict[str, bool]:
         """Every construction postcondition, evaluated exactly."""
         with mpmath.workprec(96):
-            eps = mpmath.mpf(1) - mpmath.power(
-                1 - mpmath.mpf(self.c0.numerator) / self.c0.denominator / 2,
-                mpmath.mpf(1) / (self.geom_n + 1))
+            eps = _epsilon(self.c0, self.geom_n)
             lx = mpmath.mpf(self.L_x.numerator) / self.L_x.denominator
             lt = mpmath.mpf(self.L_t.numerator) / self.L_t.denominator
             xi_ok = all(
@@ -378,7 +369,7 @@ class ChainPlan:
         sum_xi = tuple(self.n2 * x for x in self.xi_head)
         sum_tau = self.n2 * self.tau_head
         cell = self.L_x ** self.geom_n * self.L_t
-        deficit = cell - (self.L_t - self.tau_head) * _prod(
+        deficit = cell - (self.L_t - self.tau_head) * math.prod(
             self.L_x - abs(x) for x in self.xi_head)
         final_corner, final_offset = self.step_position(self.n1)
         final_offset = final_offset + self.theta * self.L_t  # the last translation
@@ -399,20 +390,16 @@ class ChainPlan:
         return all(self.checks().values())
 
 
-def _prod(items) -> Fraction:
-    out = Fraction(1)
-    for v in items:
-        out *= v
-    return out
+def _epsilon(c0: Fraction, n: int) -> mpmath.mpf:
+    """``1 - (1 - c0/2)^(1/(n+1))`` at the current mpmath precision."""
+    return 1 - mpmath.power(1 - mpmath.mpf(c0.numerator) / c0.denominator / 2,
+                            mpmath.mpf(1) / (n + 1))
 
 
 def epsilon_max(c0, n: int) -> float:
     """Largest proportional per-step correction: 1 - (1 - c0/2)^(1/(n+1))."""
-    c0 = _as_fraction(c0)
     with mpmath.workprec(96):
-        v = 1 - mpmath.power(1 - mpmath.mpf(c0.numerator) / c0.denominator / 2,
-                             mpmath.mpf(1) / (n + 1))
-    return float(v)
+        return float(_epsilon(_to_fraction(c0), n))
 
 
 def doubling_chain(root: Root, child_spatial: tuple[int, ...], child_temporal: int,
@@ -430,10 +417,10 @@ def doubling_chain(root: Root, child_spatial: tuple[int, ...], child_temporal: i
     the central cell of the translated root).
     """
     geom = root.geom
-    psi = _as_fraction(psi)
-    c0 = _as_fraction(c0)
-    theta = _as_fraction(theta)
-    theta1, theta2 = (_as_fraction(theta_window[0]), _as_fraction(theta_window[1]))
+    psi = _to_fraction(psi)
+    c0 = _to_fraction(c0)
+    theta = _to_fraction(theta)
+    theta1, theta2 = (_to_fraction(theta_window[0]), _to_fraction(theta_window[1]))
     if not (1 < theta1 <= psi <= theta2):
         raise ValueError("need 1 < theta1 <= psi <= theta2")
     if not 0 < c0 < 1:
@@ -446,8 +433,7 @@ def doubling_chain(root: Root, child_spatial: tuple[int, ...], child_temporal: i
     child = DyadicAddress(root, 1, child_spatial, child_temporal)
 
     with mpmath.workprec(geom.precision_bits):
-        eps = 1 - mpmath.power(1 - mpmath.mpf(c0.numerator) / c0.denominator / 2,
-                               mpmath.mpf(1) / (geom.n + 1))
+        eps = _epsilon(c0, geom.n)
         th = mpmath.mpf(theta.numerator) / theta.denominator
         th1 = mpmath.mpf(theta1.numerator) / theta1.denominator
         c1 = (2 ** geom.d) / eps * mpmath.power(4 * th / (th1 - 1), 1 / mpmath.mpf(geom.p))
@@ -483,10 +469,9 @@ def doubling_chain(root: Root, child_spatial: tuple[int, ...], child_temporal: i
         raise ValueError("target temporal index outside the translated root")
 
     base_corner = tuple(lo for lo, _ in base.spatial_intervals())
-    base_offset = base.lower_face_offset()
-    w = L_x
-    target_corner = tuple(c - root.side / 2 + sidx * w
-                          for c, sidx in zip(root.center, target_spatial))
+    base_offset = base.temporal_offsets()[0]
+    target_corner = tuple(lo for lo, _ in root.address(level, target_spatial)
+                          .spatial_intervals())
     target_offset = psi + Fraction(target_temporal, K)
 
     y = tuple(tc - bc for tc, bc in zip(target_corner, base_corner))

@@ -21,7 +21,7 @@ from .geometry import Geometry, Root, default_parameters, lattice_dump, new_geom
 from .improvement import HarnessConfig, characterization_harness, tower_partition
 from .porosity import (admissible_collection, complementary_collection,
                        hole_of_translate, maximal_hole, porosity_curve)
-from .sampling import SamplerConfig, draw_roots
+from .sampling import SamplerConfig, scan_roots
 from .serialize import fraction_str, interval_json, number_str, parse_number
 from .sets import check_dimension, set_from_json
 from .weights import WeightSpec, a1_scan
@@ -29,11 +29,8 @@ from .weights import WeightSpec, a1_scan
 
 def _scan_roots(geom: Geometry, cfg: dict) -> list[Root]:
     """Configured root first, then seeded random roots up to ``samples``."""
-    first = _root(geom, cfg)
-    count = max(1, int(cfg["samples"]))
-    sampler = SamplerConfig(seed=int(cfg["seed"]), samples=max(1, count - 1))
-    rest = draw_roots(geom, sampler) if count > 1 else []
-    return [first, *rest]
+    return scan_roots(_root(geom, cfg), SamplerConfig(seed=int(cfg["seed"]),
+                                                      samples=max(1, int(cfg["samples"]))))
 
 
 class CliError(Exception):

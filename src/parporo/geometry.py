@@ -11,19 +11,26 @@ level slabs (slab width is ``l_t(root) / K_i`` with ``K_i`` the product of
 the per-level division counts), spatial positions are integer cell indices,
 and exact bounds (``spatial_intervals``, ``temporal_offsets``) are
 ``fractions.Fraction`` multiples of the root's side and temporal length.
-``realize`` returns floats read from per-level tables that each root builds
-once from the exact values (each entry is ``float()`` of its exact value),
-so a cell costs a few float operations; ``run_box`` reads the same tables
-for the box of a run of consecutive slabs.  ``2^(d*p)`` itself is evaluated
-with mpmath at a configurable precision; the division-count branch refuses
-to choose when the truncation parameter is too close to the branch
-threshold to certify.
+``2^(d*p)`` itself is evaluated with mpmath at a configurable precision; the
+division-count branch refuses to choose when the truncation parameter is too
+close to the branch threshold to certify.
+
+Float faces are decided here and nowhere else.  Each root keeps one
+per-level table, filled level by level in ``Root.ensure_depth`` as the
+recursion is extended (each entry is ``float()`` of its exact value), and a
+level that nothing has built yet is filled on its first read.  Two methods
+read it: ``DyadicAddress.column_bounds`` gives a cell's spatial faces,
+around the center ``origin + (s + 0.5) * w``, and ``DyadicAddress.run_faces``
+the temporal faces of a run of slabs, from the slab start
+``t_lo + (j / K) * l_t``.  ``run_box``, ``realize`` and the point-cloud
+columns of ``sets`` take their faces from these two.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -279,6 +286,25 @@ def plus_theta(gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Levels(dict):
+    """A root's per-level table, keyed by level.  ``Root.ensure_depth`` fills
+    it as it extends the recursion, so a read of a level that nothing has
+    built yet extends it first.  The root is held weakly: a table in a cycle
+    with its root would keep every dropped root until a garbage collection."""
+
+    __slots__ = ("root",)
+
+    def __init__(self, root: "Root"):
+        super().__init__()
+        self.root = weakref.ref(root)
+
+    def __missing__(self, level: int):
+        if level < 0:
+            raise ValueError("level must be nonnegative")
+        self.root().ensure_depth(level)
+        return self[level]
+
+
 class Root:
     """Root rectangle of a lattice plus its truncation/division recursion.
 
@@ -306,22 +332,21 @@ class Root:
         self.side = side
         self.gamma0 = gamma0
 
-        # per-level cache: gamma_i (mpf), k_i, cumulative slab count K_i
-        self._gammas: list = [self._gamma0_mpf()]
-        self._ks: list[int] = []
-        self._K: list[int] = [1]
-        # float views for realize: per level (l_x, clamped gamma, l_x^p, K_i),
-        # filled on first use; the lower spatial face per axis, t_lo, l_t
-        self._floats: list[tuple[float, float, float, int]] = []
-        # exact per-level (l_x, |P| / |root|), filled with the float table
-        self._exact: list[tuple[Fraction, Fraction]] = []
+        # the floats every face is built from: the lower spatial face per
+        # axis, the lower temporal face and the temporal length
         self._origins = tuple(float(c - side / 2) for c in center)
-        self._t_lo = self.t_lo_float()
-        self._l_t = self.l_t_root_float()
-
-    def _gamma0_mpf(self):
-        with mpmath.workprec(self.geom.precision_bits):
-            return mpmath.mpf(self.gamma0.numerator) / self.gamma0.denominator
+        self._t_lo = float(self.top_time) - float(side) ** geom.p
+        self._l_t = float(1 - gamma0) * float(side) ** geom.p
+        # the recursion: gamma_i (mpf) and cumulative slab count K_i per
+        # level, k_i per extension; and the per-level table, its float
+        # entries (l_x, clamped gamma, l_x^p, K_i) then its exact ones
+        # (l_x, |P| / |root|)
+        self._gammas: list = []
+        self._K: list[int] = []
+        self._ks: list[int] = []
+        self._levels = _Levels(self)
+        with mpmath.workprec(geom.precision_bits):
+            self._add_level(mpmath.mpf(gamma0.numerator) / gamma0.denominator, 1)
 
     # -- recursion ----------------------------------------------------------
 
@@ -339,34 +364,25 @@ class Root:
                     # the working precision unless inputs were corrupted.
                     raise ArithmeticError(
                         f"truncation parameter left [0, 1/2] at level {len(self._ks) + 1}")
+                self._add_level(nxt, self._K[-1] * k)
                 self._ks.append(k)
-                self._K.append(self._K[-1] * k)
-                self._gammas.append(nxt)
 
-    def _floats_to(self, level: int) -> tuple[float, float, float, int]:
-        """Float table entry of ``level``, filling the float and exact
-        tables up to it."""
-        self.ensure_depth(level)
-        while len(self._floats) <= level:
-            i = len(self._floats)
-            l_x = self.side / (1 << (self.geom.d * i))
-            self._exact.append((l_x, Fraction(1, (1 << (self.geom.d * self.geom.n * i))
-                                              * self._K[i])))
-            w = float(l_x)
-            gamma = min(max(float(self._gammas[i]), 0.0), 0.5)
-            self._floats.append((w, gamma, w ** self.geom.p, self._K[i]))
-        return self._floats[level]
+    def _add_level(self, gamma: mpmath.mpf, K: int) -> None:
+        """Append the next level's recursion entries and its table row."""
+        geom = self.geom
+        level = len(self._K)
+        self._gammas.append(gamma)
+        self._K.append(K)
+        l_x = self.side / (1 << (geom.d * level))
+        w = float(l_x)
+        self._levels[level] = (w, min(max(float(gamma), 0.0), 0.5), w ** geom.p, K,
+                               l_x, Fraction(1, (1 << (geom.d * geom.n * level)) * K))
 
     def column_grid(self, level: int) -> tuple[tuple[float, ...], float]:
         """The floats that place level-``level`` spatial columns: the root's
-        lower face per axis and the cell side ``w``.  Column ``s`` along axis
-        ``j`` is ``[c - w/2, c + w/2)`` with ``c = origins[j] + (s + 0.5) * w``,
-        as ``DyadicAddress.run_box`` computes it."""
-        try:
-            w = self._floats[level][0]
-        except IndexError:
-            w = self._floats_to(level)[0]
-        return self._origins, w
+        lower face per axis and the cell side; equal grids give equal
+        ``DyadicAddress.column_bounds``."""
+        return self._origins, self._levels[level][0]
 
     def gamma_at(self, level: int) -> mpmath.mpf:
         self.ensure_depth(level)
@@ -393,33 +409,31 @@ class Root:
         return Fraction(1, self.slab_count(level))
 
     def l_x_at(self, level: int) -> Fraction:
-        if level < 0:
-            raise ValueError("level must be nonnegative")
-        if level >= len(self._exact):
-            self._floats_to(level)
-        return self._exact[level][0]
+        return self._levels[level][4]
 
     def measure_fraction_at(self, level: int) -> Fraction:
         """|P| / |root| for any level-``level`` rectangle, exact."""
-        if level < 0:
-            raise ValueError("level must be nonnegative")
-        if level >= len(self._exact):
-            self._floats_to(level)
-        return self._exact[level][1]
-
-    def top_time_float(self) -> float:
-        return float(self.top_time)
+        return self._levels[level][5]
 
     def l_t_root_float(self) -> float:
-        return float(1 - self.gamma0) * float(self.side) ** self.geom.p
+        return self._l_t
 
     def t_lo_float(self) -> float:
-        return self.top_time_float() - float(self.side) ** self.geom.p
+        return self._t_lo
+
+    def _slab_top(self, temporal: int, K: int, w_p: float) -> float:
+        """Float top of slab ``temporal`` of a level with ``K`` slabs per root
+        temporal length and ``w_p = l_x^p``: its float start plus ``w_p``."""
+        return self._t_lo + (temporal / K) * self._l_t + w_p
+
+    def _center(self, spatial: tuple[int, ...], w: float) -> tuple[float, ...]:
+        """Float center of spatial column ``spatial`` of cell side ``w``."""
+        return tuple(o + (s + 0.5) * w for o, s in zip(self._origins, spatial))
 
     def rectangle(self) -> ParabolicRectangle:
         return ParabolicRectangle(
             center=tuple(float(c) for c in self.center),
-            top_time=self.top_time_float(),
+            top_time=float(self.top_time),
             side=float(self.side),
             gamma=float(self.gamma0),
         )
@@ -441,8 +455,7 @@ class Root:
             lt = (1 - self.gamma0) * self.side ** int(self.geom.p)
             return Root(self.geom, self.center, self.top_time + Fraction(theta) * lt,
                         self.side, self.gamma0)
-        return Root(self.geom, self.center,
-                    self.top_time_float() + float(theta) * self.l_t_root_float(),
+        return Root(self.geom, self.center, float(self.top_time) + float(theta) * self._l_t,
                     self.side, self.gamma0)
 
     def __repr__(self) -> str:
@@ -492,17 +505,9 @@ class DyadicAddress:
 
     def children(self) -> list["DyadicAddress"]:
         """All level+1 cells partitioning this one, spatial-major then temporal."""
-        geom = self.root.geom
         k = self.root.k_at(self.level)
-        split = 1 << geom.d
-        bases = tuple(s * split for s in self.spatial)
-        t_base = self.temporal * k
-        out = []
-        for combo in itertools.product(range(split), repeat=geom.n):
-            spatial = tuple(b + o for b, o in zip(bases, combo))
-            for j in range(k):
-                out.append(DyadicAddress(self.root, self.level + 1, spatial, t_base + j))
-        return out
+        return [child._with_temporal(child.temporal + j)
+                for child in self.spatial_children() for j in range(k)]
 
     def spatial_children(self) -> list["DyadicAddress"]:
         """One level+1 cell per spatial child, in ``children()`` order, each
@@ -589,10 +594,6 @@ class DyadicAddress:
         K = self.root.slab_count(self.level)
         return Fraction(self.temporal, K), Fraction(self.temporal + 1, K)
 
-    def lower_face_offset(self) -> Fraction:
-        K = self.root.slab_count(self.level)
-        return Fraction(self.temporal, K)
-
     def spatial_intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Exact half-open spatial intervals in absolute coordinates."""
         w = self.root.l_x_at(self.level)
@@ -603,20 +604,23 @@ class DyadicAddress:
         return tuple(out)
 
     def realize(self) -> ParabolicRectangle:
-        """Float rectangle for distance/measure queries, from the root's
-        per-level float table."""
+        """Float rectangle for distance/measure queries, with the center of
+        ``column_bounds`` and the slab start of ``run_faces``."""
         root = self.root
-        try:
-            w, gamma, w_p, K = root._floats[self.level]
-        except IndexError:
-            w, gamma, w_p, K = root._floats_to(self.level)
-        t_lo = root._t_lo + (self.temporal / K) * root._l_t
+        w, gamma, w_p, K, _l_x, _share = root._levels[self.level]
         return ParabolicRectangle(
-            center=tuple(o + (s + 0.5) * w for o, s in zip(root._origins, self.spatial)),
-            top_time=t_lo + w_p,
+            center=root._center(self.spatial, w),
+            top_time=root._slab_top(self.temporal, K, w_p),
             side=w,
             gamma=gamma,
         )
+
+    def column_bounds(self) -> tuple[tuple[float, float], ...]:
+        """Float ``[lo, hi)`` per axis of this cell's spatial column."""
+        root = self.root
+        w = root._levels[self.level][0]
+        h = 0.5 * w
+        return tuple((c - h, c + h) for c in root._center(self.spatial, w))
 
     def run_box(self, run: int = 1
                 ) -> tuple[tuple[tuple[float, float], ...], tuple[float, float]]:
@@ -627,28 +631,16 @@ class DyadicAddress:
         monotone in the temporal index, so the box contains the realized
         box of every slab of the run.
         """
-        root = self.root
-        try:
-            w = root._floats[self.level][0]
-        except IndexError:
-            w = root._floats_to(self.level)[0]
-        h = 0.5 * w
-        bounds = tuple((c - h, c + h)
-                       for c in (o + (s + 0.5) * w for o, s in zip(root._origins, self.spatial)))
-        return bounds, self.run_faces(run)
+        return self.column_bounds(), self.run_faces(run)
 
     def run_faces(self, run: int = 1) -> tuple[float, float]:
         """The temporal faces of ``run_box(run)``: the float lower face of
         the first slab and upper face of the last."""
         root = self.root
-        try:
-            _w, gamma, w_p, K = root._floats[self.level]
-        except IndexError:
-            _w, gamma, w_p, K = root._floats_to(self.level)
-        first = root._t_lo + (self.temporal / K) * root._l_t
-        last = first if run == 1 else \
-            root._t_lo + ((self.temporal + run - 1) / K) * root._l_t
-        return (first + w_p) - w_p, (last + w_p) - gamma * w_p
+        _w, gamma, w_p, K, _l_x, _share = root._levels[self.level]
+        top = root._slab_top(self.temporal, K, w_p)
+        last_top = top if run == 1 else root._slab_top(self.temporal + run - 1, K, w_p)
+        return top - w_p, last_top - gamma * w_p
 
     def gamma(self) -> mpmath.mpf:
         return self.root.gamma_at(self.level)
@@ -693,16 +685,15 @@ def lattice_dump(root: Root, depth: int) -> list[dict]:
     stack: list[DyadicAddress] = [root.address()]
     while stack:
         addr = stack.pop()
-        lo, hi = addr.temporal_offsets()
-        rect = addr.realize()
+        t_lo, t_hi = addr.run_faces()
         rows.append({
             "level": addr.level,
             "spatial": list(addr.spatial),
             "temporal": addr.temporal,
             "l_x": fraction_str(addr.l_x()),
             "l_t": fraction_str(addr.root.l_t_fraction_of(addr.level)) + "*l_t(root)",
-            "t_lo": number_str(rect.t_lo(root.geom.p)),
-            "t_hi": number_str(rect.t_hi(root.geom.p)),
+            "t_lo": number_str(t_lo),
+            "t_hi": number_str(t_hi),
         })
         if addr.level < depth:
             stack.extend(reversed(addr.children()))

@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import Geometry, Root, default_parameters
 from .porosity import (CollectionReport, Members, PorosityReport, admissible_cut,
                        hole_of_translate, porosity_curve, search_for_cuts)
-from .sampling import SamplerConfig, draw_roots
+from .sampling import SamplerConfig, draw_roots, scan_roots
 from .sets import ClosedSetModel
 from .weights import A1ScanReport, WeightSpec, a1_scan
 
@@ -178,12 +178,11 @@ def characterization_harness(model: ClosedSetModel, geom: Geometry,
 
     params = default_parameters(geom)
     deltas = default_delta_grid(geom, config.depth_cap)
-    sampler = SamplerConfig(seed=config.seed, samples=config.samples)
-    roots = draw_roots(geom, sampler)
     # the randomized scan may overestimate the covered fraction; the
     # canonical unit root keeps an auditable witness in every report
-    roots = [Root(geom, (Fraction(0),) * geom.n, Fraction(0), Fraction(1),
-                  Fraction(0))] + roots[:max(0, config.samples - 1)]
+    roots = scan_roots(Root(geom, (Fraction(0),) * geom.n, Fraction(0), Fraction(1),
+                            Fraction(0)),
+                       SamplerConfig(seed=config.seed, samples=config.samples))
 
     starved: list[str] = []
 

@@ -485,6 +485,5 @@ def hole_esssup_bracket(model: ClosedSetModel, addr: DyadicAddress,
     sup over the closure; exact for single-formula models, branch-and-bound
     otherwise with a flagged wide bracket at the cell cap.
     """
-    rect = addr.realize()
-    p = addr.root.geom.p
-    return sup_distance_bracket(model, rect.box(p), p, tol=tol, max_cells=max_cells)
+    return sup_distance_bracket(model, addr.run_box(), addr.root.geom.p, tol=tol,
+                                max_cells=max_cells)

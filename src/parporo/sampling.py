@@ -46,6 +46,15 @@ def draw_roots(geom: Geometry, config: SamplerConfig) -> list[Root]:
     return roots
 
 
+def scan_roots(first: Root, config: SamplerConfig) -> list[Root]:
+    """``first``, then seeded roots up to ``config.samples`` in all; one
+    sample draws none.  ``draw_roots`` reads one random stream in order, so
+    these are the first ``samples - 1`` roots it draws for the seed."""
+    if config.samples == 1:
+        return [first]
+    return [first, *draw_roots(first.geom, SamplerConfig(config.seed, config.samples - 1))]
+
+
 def run_indexed(tasks: Sequence, worker, threads: int = 1) -> list:
     """Map ``worker`` over ``tasks`` preserving order; result is
     independent of the worker count."""

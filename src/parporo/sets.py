@@ -21,7 +21,7 @@ every slab and sub-run of it.  The search relies on that when it tests a
 run of slabs once and calls every slab of a missed run free.  Point clouds
 answer it from the sorted times of the points in the run's column, found
 once per column, without building the box; the other models share the
-default, which tests the box.
+default, which tests the box.  Both read their faces from ``geometry``.
 
 Each model class also declares ``time_invariant``: ``True`` when E is a
 product ``F x R`` (a spatial set crossed with the time axis), so that
@@ -170,12 +170,12 @@ def _gap_span_weight(box: Box, q: float, inf_lo: float, sup_hi: float,
 class _HeldColumns(threading.local):
     """One thread's columns of the spatial grid it searched last, keyed by
     cell side and spatial index: ``columns`` holds a column's sorted times,
-    and ``slabs`` the points of a slab fixed along the first axes."""
+    and ``slabs`` the points of a slab, keyed by its first axes' bounds."""
 
     def __init__(self):
         self.origins: Optional[tuple[float, ...]] = None
         self.columns: dict[tuple[float, tuple[int, ...]], list[float]] = {}
-        self.slabs: dict[tuple[float, tuple[int, ...]], list[Point]] = {}
+        self.slabs: dict[AxisBounds, list[Point]] = {}
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,10 @@ class PointCloud:
 
     ``meets_run`` reads the sorted times of the points in the run's spatial
     column instead, found once per column by bisecting the points one
-    spatial axis at a time.  A column is a float box fixed by the
-    root's lower spatial faces and the cell side alone, so roots that differ
-    only in time share it.  Each thread keeps the columns of the grid it
+    spatial axis at a time.  A column's faces come from
+    ``DyadicAddress.column_bounds`` and a run's from ``run_faces``; a column
+    is fixed by the root's ``column_grid`` alone, so roots that differ only
+    in time share it.  Each thread keeps the columns of the grid it
     searched last, so concurrent searches of other roots do not evict each
     other, and memory stays flat over many roots.  The columns are found in
     plain floats: numpy would page in code that a search otherwise never
@@ -355,28 +356,23 @@ class PointCloud:
         key = (w, addr.spatial)
         times = held.columns.get(key)
         if times is None:
-            times = held.columns[key] = self._column_times(origins, w, addr.spatial,
-                                                           held.slabs)
+            times = held.columns[key] = self._column_times(addr, held.slabs)
         tlo, thi = addr.run_faces(run)
         i = bisect_left(times, tlo)
         return Freeness.NONEMPTY if i < len(times) and times[i] < thi else Freeness.EMPTY
 
-    def _column_times(self, origins: tuple[float, ...], w: float, spatial: tuple[int, ...],
-                      slabs: dict[tuple[float, tuple[int, ...]], list[Point]]
-                      ) -> list[float]:
-        """The sorted times of the points in spatial column ``spatial`` of
-        the grid with lower faces ``origins`` and cell side ``w``.
-
-        The column is the half-open float box ``[c - w/2, c + w/2)`` per
-        axis, with ``c = origin + (s + 0.5) * w`` as ``DyadicAddress.run_box``
-        computes it, so a point on the overlap of two neighbouring columns'
-        rounded faces lies in both, and a point in a gap between them in
-        neither.  The points are bisected one axis at a time: the slab of
-        the first ``j`` indices is kept in ``slabs``, sorted along the next
-        axis, so the columns of one slab share it and a column costs the
-        points in its slab.
+    def _column_times(self, addr: DyadicAddress,
+                      slabs: dict[AxisBounds, list[Point]]) -> list[float]:
+        """The sorted times of the points in the half-open float box
+        ``addr.column_bounds()``, so a point on the overlap of two
+        neighbouring columns' rounded faces lies in both, and a point in a
+        gap between them in neither.  The points are bisected one axis at a
+        time: the slab within the first axes' bounds is kept in ``slabs``,
+        sorted along the next axis, so the columns of one slab share it and
+        a column costs the points in its slab.
         """
-        if len(origins) != self._n:
+        bounds = addr.column_bounds()
+        if len(bounds) != self._n:
             raise ValueError("the cloud and the lattice differ in spatial dimension")
         rows = self._by_first_axis
         if rows is None:
@@ -387,17 +383,14 @@ class PointCloud:
                 rows = [tuple(map(float, z)) for z in rows]
             rows = sorted(rows, key=itemgetter(0))
             object.__setattr__(self, "_by_first_axis", rows)
-        h = 0.5 * w
-        for axis, (o, s) in enumerate(zip(origins, spatial)):
-            key = (w, spatial[:axis + 1])
+        for axis, (lo, hi) in enumerate(bounds):
+            key = bounds[:axis + 1]
             slab = slabs.get(key)
             if slab is None:
-                c = o + (s + 0.5) * w
                 along = itemgetter(axis)
-                slab = rows[bisect_left(rows, c - h, key=along):
-                            bisect_left(rows, c + h, key=along)]
+                slab = rows[bisect_left(rows, lo, key=along):bisect_left(rows, hi, key=along)]
                 slab.sort(key=itemgetter(axis + 1))
-                if axis + 1 < len(spatial):
+                if axis + 1 < len(bounds):
                     slabs[key] = slab
             rows = slab
         return [z[-1] for z in rows]
@@ -422,6 +415,8 @@ class BoxUnion(_RunAsBox):
     def __post_init__(self):
         if not self.boxes:
             raise ValueError("a closed-set model must be nonempty")
+        if len({len(bounds) for bounds, _ in self.boxes}) != 1:
+            raise ValueError("all boxes must share a spatial dimension")
         for bounds, (tlo, thi) in self.boxes:
             for lo, hi in bounds:
                 if lo > hi:
@@ -622,6 +617,8 @@ class IFSFractal(_RunAsBox):
     def __post_init__(self):
         if not self.maps:
             raise ValueError("a closed-set model must be nonempty")
+        if len({len(m.shift) for m in self.maps}) != 1:
+            raise ValueError("all maps must share a spatial dimension")
         # the root box: a bound on the attractor, narrowed under the maps
         # until it is fixed or 200 rounds have run (the Cantor maps never
         # reach a fixed point in floats), once per model

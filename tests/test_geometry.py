@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_realize
-from parporo.geometry import (AmbiguousBranchError, DyadicAddress, Root,
+from parporo.geometry import (AmbiguousBranchError, DyadicAddress, ParabolicRectangle, Root,
                               StoppingParams, chain_gap_bound, check_parameters,
                               default_parameters, gamma_sequence, lattice_dump,
                               new_geometry, plus_theta, translate)
@@ -127,7 +128,7 @@ def test_forward_parent_is_translated_parent(unit_root):
     assert fp.level == 0
     assert fp.temporal == child.parent().temporal + 4
     # lower-face gap equals theta0 parent slabs
-    gap = fp.lower_face_offset() - child.parent().lower_face_offset()
+    gap = fp.temporal_offsets()[0] - child.parent().temporal_offsets()[0]
     assert gap == Fraction(4, 1) * unit_root.l_t_fraction_of(0)
 
 
@@ -271,7 +272,7 @@ def test_chain_gap_bound_to_depth_five(unit_root):
                 cur = addr
                 for j in range(1, m + 1):
                     cur = cur.forward_parent(params)
-                    gap = abs(cur.lower_face_offset() - addr.lower_face_offset())
+                    gap = abs(cur.temporal_offsets()[0] - addr.temporal_offsets()[0])
                     # in units of l_t(pi_j^+ P): multiply by K_{m-j}
                     scaled = gap * unit_root.slab_count(m - j)
                     assert mpmath.mpf(scaled.numerator) / scaled.denominator < bound
@@ -370,6 +371,56 @@ def test_run_box_spans_its_slabs(cells, runs):
             assert t_lo <= s_lo and s_hi <= t_hi
 
 
+def _bits(value):
+    """``value`` with every float as its hex string."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, ParabolicRectangle):
+        return _bits(dataclasses.astuple(value))
+    return value
+
+
+def _cell(root, level, temporal):
+    cells = 1 << (root.geom.d * level)
+    return DyadicAddress(root, level, (cells - 1, cells // 3), temporal)
+
+
+LEVEL_READERS = {
+    "column_grid": lambda root, level: root.column_grid(level),
+    "l_x_at": lambda root, level: root.l_x_at(level),
+    "measure_fraction_at": lambda root, level: root.measure_fraction_at(level),
+    "run_box": lambda root, level: _cell(root, level, -3).run_box(4),
+    "run_faces": lambda root, level: _cell(root, level, 11).run_faces(2),
+    "realize": lambda root, level: _cell(root, level, 2).realize(),
+}
+
+
+@pytest.mark.parametrize("first", sorted(LEVEL_READERS))
+def test_a_fresh_root_answers_a_level_nothing_has_built(first):
+    # a non-dyadic root at p = 1.5, read first at level 5: the answers, and
+    # then those of every reader at every level, are those of a root whose
+    # levels were built one by one
+    geom = new_geometry(2, 1.5)
+
+    def fresh():
+        return Root(geom, (Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 7), Fraction(3, 7),
+                    Fraction(1, 8))
+
+    built = fresh()
+    for level in range(6):
+        built.ensure_depth(level)
+    root = fresh()
+    assert root._ks == []
+    assert _bits(LEVEL_READERS[first](root, 5)) == _bits(LEVEL_READERS[first](built, 5))
+    for level in range(6):
+        for read in LEVEL_READERS.values():
+            assert _bits(read(root, level)) == _bits(read(built, level))
+    with pytest.raises(ValueError, match="nonnegative"):
+        root.l_x_at(-1)
+
+
 def test_realize_on_warm_root_enters_no_mpmath(monkeypatch):
     geom = new_geometry(1, 1.5)  # non-integral 2^dp: the branch runs mpmath
     root = Root(geom, (Fraction(1, 3),), Fraction(1, 7), Fraction(3, 2), Fraction(1, 4))
@@ -414,6 +465,15 @@ def test_derived_addresses_equal_validated_ones(level, data, shift):
         assert got.key() == validated.key()
         assert hash(got) == hash(validated)
         assert got.root is root and got.run_box(2) == validated.run_box(2)
+    # children are moved through their slabs from the validated spatial
+    # children: element by element and in order, the validated cells
+    k, split = root.k_at(level), 1 << geom.d
+    want = [DyadicAddress(root, level + 1, (spatial[0] * split + a, spatial[1] * split + b),
+                          addr.temporal * k + j)
+            for a in range(split) for b in range(split) for j in range(k)]
+    kids = addr.children()
+    assert kids == want
+    assert [(type(kid), hash(kid)) for kid in kids] == [(DyadicAddress, hash(w)) for w in want]
     if level:
         up = addr.parent()
         want = DyadicAddress(root, level - 1, up.spatial, up.temporal + params.theta0)

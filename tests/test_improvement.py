@@ -9,7 +9,18 @@ from parporo.improvement import (HarnessConfig, alpha_fit,
                                  characterization_harness, default_delta_grid,
                                  tower_partition)
 from parporo.porosity import admissible_collection
+from parporo.sampling import SamplerConfig, draw_roots, scan_roots
 from parporo.sets import PointCloud
+
+
+@pytest.mark.parametrize("samples", [1, 2, 12])
+def test_scan_roots_are_a_first_root_then_the_seeded_draw(unit_root, samples):
+    # the CLI scans and the harness both take these: one sample is the first
+    # root alone, and the rest are a prefix of the seed's one random stream
+    roots = scan_roots(unit_root, SamplerConfig(seed=3, samples=samples))
+    drawn = draw_roots(unit_root.geom, SamplerConfig(seed=3, samples=12))
+    assert len(roots) == samples and roots[0] is unit_root
+    assert list(map(repr, roots[1:])) == list(map(repr, drawn[:samples - 1]))
 
 
 def test_tower_partition_hyperplane(unit_root, hyperplane):

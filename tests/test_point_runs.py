@@ -152,13 +152,11 @@ def test_a_point_outside_every_column_lies_in_none():
     # x = 0.5 is the root's upper spatial face: outside, as is everything
     # beyond it and below the lower face
     for level in range(3):
-        origins, w = root.column_grid(level)
         for s in range(1 << (root.geom.d * level)):
-            assert cloud._column_times(origins, w, (s,), {}) == []
+            assert cloud._column_times(root.address(level, (s,)), {}) == []
     # points inside land in their column, its times sorted
     inside = PointCloud(((0.25, -0.5), (-0.25, -0.75), (0.3, -0.9), (0.25, -1.0)))
-    origins, w = root.column_grid(1)
-    assert [inside._column_times(origins, w, (s,), {}) for s in range(4)] == \
+    assert [inside._column_times(root.address(1, (s,)), {}) for s in range(4)] == \
         [[], [-0.75], [], [-1.0, -0.9, -0.5]]
 
 
@@ -203,9 +201,10 @@ def count_columns(monkeypatch):
     builds = []
     find = PointCloud._column_times
 
-    def counting(self, origins, w, spatial, slabs):
-        builds.append((threading.get_ident(), origins, w, spatial))
-        return find(self, origins, w, spatial, slabs)
+    def counting(self, addr, slabs):
+        origins, w = addr.root.column_grid(addr.level)
+        builds.append((threading.get_ident(), origins, w, addr.spatial))
+        return find(self, addr, slabs)
 
     monkeypatch.setattr(PointCloud, "_column_times", counting)
     return builds

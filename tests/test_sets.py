@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from parporo.cli import run
 from parporo.geometry import ParabolicRectangle
 from parporo.intervals import Interval
-from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal,
+from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal, IFSMap,
                           PointCloud, SpatialHyperplane, _gap_span_weight, _sup_bracket,
                           cantor_times_time, distance_to_set, integer_grid,
                           parabolic_distance, rectangle_free, set_from_json, set_to_json,
@@ -254,6 +255,30 @@ def test_point_cloud_rejects_non_finite_coordinates():
     for text in ("nan", "inf", "-inf"):
         with pytest.raises(ValueError, match="finite"):
             set_from_json({"type": "points", "coords": [["0", "0"], ["1", text]]})
+
+
+MIXED_BOXES = {"type": "boxes", "boxes": [{"spatial": [["0", "1"]], "temporal": ["0", "1"]},
+                                          {"spatial": [["0", "1"], ["2", "3"]],
+                                           "temporal": ["0", "1"]}]}
+MIXED_MAPS = {"type": "ifs", "p": "2", "maps": [{"ratio": "1/3", "shift": ["0"]},
+                                                {"ratio": "1/3", "shift": ["2/3", "0"]}]}
+
+
+def test_members_of_mixed_spatial_dimension_are_refused(capsys):
+    # a one-axis box beside a two-axis box, and IFS shifts of lengths 1 and
+    # 2: no query could read both, so neither model constructs
+    with pytest.raises(ValueError, match="share a spatial dimension"):
+        BoxUnion(((((0.0, 1.0),), (0.0, 1.0)), (((0.0, 1.0), (2.0, 3.0)), (0.0, 1.0))))
+    with pytest.raises(ValueError, match="share a spatial dimension"):
+        IFSFractal((IFSMap(1 / 3, (0.0,)), IFSMap(1 / 3, (2 / 3, 0.0))), 2.0)
+    for set_def in (MIXED_BOXES, MIXED_MAPS):
+        with pytest.raises(ValueError, match="share a spatial dimension"):
+            set_from_json(set_def)
+        # the CLI reports the input error with exit 1
+        for n in ("1", "2"):
+            assert run(["porosity", "--set", json.dumps(set_def), "--n", n, "--samples", "1",
+                        "--cap", "1"]) == 1
+            assert "share a spatial dimension" in capsys.readouterr().err
 
 
 FACES = [-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]
