@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -30,7 +29,7 @@ from .weights import WeightSpec, a1_scan
 def _scan_roots(geom: Geometry, cfg: dict) -> list[Root]:
     """Configured root first, then seeded random roots up to ``samples``."""
     return scan_roots(_root(geom, cfg), SamplerConfig(seed=int(cfg["seed"]),
-                                                      samples=max(1, int(cfg["samples"]))))
+                                                      samples=int(cfg["samples"])))
 
 
 class CliError(Exception):
@@ -79,7 +78,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--cap", type=int, default=None, help="depth cap")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--tol", default=None)
-        sp.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored: every scan runs in one thread")
         sp.add_argument("--samples", type=int, default=None)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default=None)
@@ -121,7 +121,7 @@ def _build_parser() -> _Parser:
 
 _DEFAULTS = {
     "n": 1, "p": "2", "d": None, "center": None, "top": "0", "side": "1",
-    "gamma0": "0", "cap": 3, "seed": 0, "tol": "1e-6", "threads": 1,
+    "gamma0": "0", "cap": 3, "seed": 0, "tol": "1e-6",
     "samples": 12, "format": "json", "depth": 2, "delta": "1/2",
     "deltas": None, "theta": None, "beta": "0.1", "psi": "2", "c0": "1/2",
     "theta1": "2", "theta2": "2", "child_spatial": "0", "child_temporal": 0,
@@ -140,9 +140,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             continue
         if value is not None:
             cfg[key] = value
-    env_threads = os.environ.get("PARPORO_THREADS")
-    if env_threads:
-        cfg["threads"] = min(int(cfg.get("threads") or 1), int(env_threads))
+    cfg.pop("threads", None)  # the ignored flag, or a config file's key
     return cfg
 
 
@@ -200,9 +198,8 @@ def _emit(report: dict, cfg: dict, out, fmt: str, csv_rows=None) -> None:
 
 
 def _envelope(command: str, cfg: dict, result: dict) -> dict:
-    # worker count is an execution detail: reports must not depend on it
     shown = {k: (v if isinstance(v, (int, bool, type(None))) else str(v))
-             for k, v in sorted(cfg.items()) if k != "threads"}
+             for k, v in sorted(cfg.items())}
     return {
         "command": command,
         "config": shown,
@@ -217,7 +214,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _resolve(args)
         geom = _geometry(cfg)
-        threads = int(cfg.get("threads") or 1)
         exit_code = 0
         csv_rows = None
 
@@ -248,7 +244,7 @@ def run(argv=None) -> int:
             roots = _scan_roots(geom, cfg)
             theta = _theta_default(cfg, geom)
             reports = porosity_curve(model, roots, _delta_list(cfg, geom), theta,
-                                     int(cfg["cap"]), threads=threads)
+                                     int(cfg["cap"]))
             result = {
                 "theta": number_str(theta),
                 "depth_cap": int(cfg["cap"]),
@@ -275,7 +271,7 @@ def run(argv=None) -> int:
             theta = _finite(cfg, "theta") if cfg.get("theta") is not None else 2
             spec = WeightSpec(beta=float(_finite(cfg, "beta")), n=geom.n, p=geom.p)
             report = a1_scan(model, _scan_roots(geom, cfg), float(theta), spec,
-                             tol=float(_finite(cfg, "tol")), threads=threads)
+                             tol=float(_finite(cfg, "tol")))
             result = {
                 "beta": number_str(report.beta),
                 "theta": number_str(report.theta),
@@ -399,7 +395,7 @@ def run(argv=None) -> int:
         elif args.command == "characterize":
             model, _ = _require_set(args, geom.n)
             hc = HarnessConfig(seed=int(cfg["seed"]), samples=int(cfg["samples"]),
-                               depth_cap=int(cfg["cap"]), threads=threads)
+                               depth_cap=int(cfg["cap"]))
             result = characterization_harness(model, geom, hc)
             if result["verdict"] == "inconclusive":
                 exit_code = 2

@@ -157,7 +157,6 @@ class HarnessConfig:
     a1_samples: int = 8
     a1_tol: float = 5e-2
     a1_max_cells: int = 8000
-    threads: int = 1
 
 
 def default_delta_grid(geom: Geometry, depth_cap: int) -> tuple[Fraction, ...]:
@@ -187,8 +186,7 @@ def characterization_harness(model: ClosedSetModel, geom: Geometry,
     starved: list[str] = []
 
     # stage 1: porosity curve at the stopping translation
-    curve = porosity_curve(model, roots, deltas, params.Phi, config.depth_cap,
-                           threads=config.threads)
+    curve = porosity_curve(model, roots, deltas, params.Phi, config.depth_cap)
     if any(rep.depth_cap_hit for rep in curve):
         starved.append("porosity")
     points = [(float(rep.delta), float(1 - rep.empirical_c)) for rep in curve]
@@ -205,13 +203,13 @@ def characterization_harness(model: ClosedSetModel, geom: Geometry,
         a1_roots = draw_roots(geom, SamplerConfig(seed=config.seed,
                                                   samples=config.a1_samples))
         a1_report = a1_scan(model, a1_roots, params.Phi, spec, tol=config.a1_tol,
-                            max_cells=config.a1_max_cells, threads=config.threads)
+                            max_cells=config.a1_max_cells)
         if not a1_report.all_converged:
             starved.append("a1")
 
     # stage 4: cross-translation consistency after threshold recalibration
     cross = _cross_theta_check(model, roots, deltas, params.Phi, config.depth_cap,
-                               curve, threads=config.threads)
+                               curve)
     if cross.get("starved"):
         starved.append("cross_theta")
 
@@ -252,7 +250,7 @@ def characterization_harness(model: ClosedSetModel, geom: Geometry,
 
 def _cross_theta_check(model: ClosedSetModel, roots: Sequence[Root],
                        deltas: Sequence[Fraction], theta_main, depth_cap: int,
-                       main: Sequence[PorosityReport], threads: int = 1) -> dict:
+                       main: Sequence[PorosityReport]) -> dict:
     """Compare the main defect curve ``main`` (at ``theta_main``) with the
     curve at ``_CROSS_THETA`` after rescaling deltas by the ratio of the
     witnessed hole measures.  The cross curve cuts the main curve's
@@ -277,7 +275,7 @@ def _cross_theta_check(model: ClosedSetModel, roots: Sequence[Root],
             d2 = Fraction(1, 2) + d2 / (2 * (1 + d2))  # clamp into (0, 1)
         rescaled.append(d2)
     cross = porosity_curve(model, roots, rescaled, _CROSS_THETA, depth_cap,
-                           threads=threads, searches=main[0].searches,
+                           searches=main[0].searches,
                            holes=[hole_cross] + [None] * (len(roots) - 1))
     diffs = [abs(float(a.empirical_c) - float(b.empirical_c))
              for a, b in zip(main, cross)]

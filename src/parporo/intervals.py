@@ -158,8 +158,8 @@ def interval_sum(parts) -> Interval:
     """Certified sum of brackets given as ``(lo, hi)`` float pairs
     (endpoint sums, outward rounded).
 
-    Callers that need bit-identical output across worker counts must pass
-    ``parts`` in a deterministic order.
+    Float sums depend on their order, so callers that need bit-identical
+    output must pass ``parts`` in a fixed order.
     """
     lo = 0.0
     hi = 0.0

@@ -35,7 +35,6 @@ from typing import Iterator, Optional, Sequence
 
 from .geometry import DyadicAddress, Root
 from .intervals import Interval
-from .sampling import run_indexed
 from .sets import ClosedSetModel, Freeness, sup_distance_bracket
 
 
@@ -421,7 +420,6 @@ def _root_descriptor(root: Root) -> dict:
 
 def porosity_curve(model: ClosedSetModel, roots: Sequence[Root],
                    deltas: Sequence[Fraction], theta, depth_cap: int,
-                   threads: int = 1,
                    searches: Optional[Sequence[FreeSearch]] = None,
                    holes: Optional[Sequence[Optional[HoleResult]]] = None
                    ) -> list[PorosityReport]:
@@ -432,8 +430,7 @@ def porosity_curve(model: ClosedSetModel, roots: Sequence[Root],
     ``searches`` (one per root, say another curve's) are cut instead when
     deep enough, and ``holes`` (one per root, ``None`` where unknown) are
     the roots' maximal holes at ``theta`` when the caller already has them.
-    Results are reduced in sample order, so the reports do not depend on
-    the worker count.
+    The roots are searched one after the other, in sample order.
     """
     deltas = [Fraction(d) for d in deltas]
     if not deltas or any(not 0 < d < 1 for d in deltas):
@@ -441,15 +438,13 @@ def porosity_curve(model: ClosedSetModel, roots: Sequence[Root],
     reuse = searches or [None] * len(roots)
     known = holes or [None] * len(roots)
 
-    def per_root(item):
-        root, old, hole = item
+    computed = []
+    for root, old, hole in zip(roots, reuse, known, strict=True):
         base = root.address()
         if hole is None:
             hole = hole_of_translate(model, base, theta, depth_cap)
-        return root, hole, search_for_cuts(model, base, hole, deltas, depth_cap, old)
-
-    computed = run_indexed(list(zip(roots, reuse, known, strict=True)), per_root,
-                           threads)
+        computed.append((root, hole, search_for_cuts(model, base, hole, deltas,
+                                                     depth_cap, old)))
     found = tuple(search for _root, _hole, search in computed)
     reports = []
     for d in deltas:

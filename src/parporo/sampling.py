@@ -2,7 +2,8 @@
 
 Roots are drawn with exact rational centers, sides, and truncation
 parameters so downstream lattice arithmetic stays exact; a fixed seed
-makes every scan reproducible regardless of worker count.
+makes every scan reproducible.  A scan searches its roots one after the
+other, in sample order.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .geometry import Geometry, Root
 
@@ -53,14 +53,3 @@ def scan_roots(first: Root, config: SamplerConfig) -> list[Root]:
     if config.samples == 1:
         return [first]
     return [first, *draw_roots(first.geom, SamplerConfig(config.seed, config.samples - 1))]
-
-
-def run_indexed(tasks: Sequence, worker, threads: int = 1) -> list:
-    """Map ``worker`` over ``tasks`` preserving order; result is
-    independent of the worker count."""
-    threads = max(1, int(threads))
-    if threads == 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks))

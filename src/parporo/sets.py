@@ -42,7 +42,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -167,17 +166,6 @@ def _gap_span_weight(box: Box, q: float, inf_lo: float, sup_hi: float,
 # ---------------------------------------------------------------------------
 
 
-class _HeldColumns(threading.local):
-    """One thread's columns of the spatial grid it searched last, keyed by
-    cell side and spatial index: ``columns`` holds a column's sorted times,
-    and ``slabs`` the points of a slab, keyed by its first axes' bounds."""
-
-    def __init__(self):
-        self.origins: Optional[tuple[float, ...]] = None
-        self.columns: dict[tuple[float, tuple[int, ...]], list[float]] = {}
-        self.slabs: dict[AxisBounds, list[Point]] = {}
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """Finite set of space-time points.
@@ -191,9 +179,9 @@ class PointCloud:
     spatial axis at a time.  A column's faces come from
     ``DyadicAddress.column_bounds`` and a run's from ``run_faces``; a column
     is fixed by the root's ``column_grid`` alone, so roots that differ only
-    in time share it.  Each thread keeps the columns of the grid it
-    searched last, so concurrent searches of other roots do not evict each
-    other, and memory stays flat over many roots.  The columns are found in
+    in time share it.  The cloud holds the columns of the grid it searched
+    last and drops them when a root on another grid is searched, so memory
+    stays flat over many roots.  The columns are found in
     plain floats: numpy would page in code that a search otherwise never
     runs, which shows in a short report's peak memory.
     """
@@ -217,9 +205,13 @@ class PointCloud:
         object.__setattr__(self, "_n", arr.shape[1] - 1)
         object.__setattr__(self, "_split", tuple((z[:-1], z[-1]) for z in self.points)
                            if len(self.points) <= 12 else None)
-        # each thread's columns, and the points sorted along the first
-        # spatial axis, sorted on the first column
-        object.__setattr__(self, "_columns", _HeldColumns())
+        # the held grid's origins; its columns' sorted times, keyed by cell
+        # side and spatial index; the points of its slabs, keyed by their
+        # first axes' bounds; and the points sorted along the first spatial
+        # axis, sorted on the first column
+        object.__setattr__(self, "_origins", None)
+        object.__setattr__(self, "_columns", {})
+        object.__setattr__(self, "_slabs", {})
         object.__setattr__(self, "_by_first_axis", None)
 
     @property
@@ -350,24 +342,25 @@ class PointCloud:
         points in ``addr``'s column: one lookup and one bisection at the
         run's faces."""
         origins, w = addr.root.column_grid(addr.level)
-        held = self._columns
-        if held.origins != origins:
-            held.origins, held.columns, held.slabs = origins, {}, {}
+        columns = self._columns
+        if self._origins != origins:
+            object.__setattr__(self, "_origins", origins)
+            columns.clear()
+            self._slabs.clear()
         key = (w, addr.spatial)
-        times = held.columns.get(key)
+        times = columns.get(key)
         if times is None:
-            times = held.columns[key] = self._column_times(addr, held.slabs)
+            times = columns[key] = self._column_times(addr)
         tlo, thi = addr.run_faces(run)
         i = bisect_left(times, tlo)
         return Freeness.NONEMPTY if i < len(times) and times[i] < thi else Freeness.EMPTY
 
-    def _column_times(self, addr: DyadicAddress,
-                      slabs: dict[AxisBounds, list[Point]]) -> list[float]:
+    def _column_times(self, addr: DyadicAddress) -> list[float]:
         """The sorted times of the points in the half-open float box
         ``addr.column_bounds()``, so a point on the overlap of two
         neighbouring columns' rounded faces lies in both, and a point in a
         gap between them in neither.  The points are bisected one axis at a
-        time: the slab within the first axes' bounds is kept in ``slabs``,
+        time: the slab within the first axes' bounds is kept in ``_slabs``,
         sorted along the next axis, so the columns of one slab share it and
         a column costs the points in its slab.
         """
@@ -383,6 +376,7 @@ class PointCloud:
                 rows = [tuple(map(float, z)) for z in rows]
             rows = sorted(rows, key=itemgetter(0))
             object.__setattr__(self, "_by_first_axis", rows)
+        slabs = self._slabs
         for axis, (lo, hi) in enumerate(bounds):
             key = bounds[:axis + 1]
             slab = slabs.get(key)

@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .geometry import ParabolicRectangle, Root
 from .intervals import Interval, interval_sum
-from .sampling import run_indexed
 from .sets import AxisBounds, Box, ClosedSetModel, _split_box, sup_distance_bracket
 
 
@@ -116,7 +115,7 @@ def integrate_weight(model: ClosedSetModel, rect: ParabolicRectangle,
     counter = 0
     diverged = lower_only = False
     # running endpoint sums steer the refinement; the certified bracket is
-    # re-summed once at the end in a worker-independent order
+    # re-summed once at the end in the leaves' sorted order
     run_lo = run_hi = 0.0
     pending = [_finite_box(rect, p)]
     processed = 0
@@ -224,14 +223,12 @@ class A1ScanReport:
 
 
 def a1_scan(model: ClosedSetModel, roots: Sequence[Root], theta: float,
-            spec: WeightSpec, tol: float = 1e-5, max_cells: int = 20000,
-            threads: int = 1) -> A1ScanReport:
+            spec: WeightSpec, tol: float = 1e-5, max_cells: int = 20000
+            ) -> A1ScanReport:
     """Sup of the ratio upper bounds over the roots' rectangles plus witness."""
 
-    def per_root(root: Root) -> RatioResult:
-        return a1_ratio(model, root, theta, spec, tol=tol, max_cells=max_cells)
-
-    results = run_indexed(list(roots), per_root, threads)
+    results = [a1_ratio(model, root, theta, spec, tol=tol, max_cells=max_cells)
+               for root in roots]
     from .porosity import _root_descriptor
     from .serialize import interval_json
     samples = tuple({

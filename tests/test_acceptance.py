@@ -9,6 +9,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -20,6 +21,7 @@ from parporo.chains import (decay_check, doubling_chain, epsilon_max,
 from parporo.geometry import (DyadicAddress, ParabolicRectangle, Root,
                               StoppingParams, chain_gap_bound, default_parameters,
                               new_geometry)
+from parporo.cli import run
 from parporo.improvement import HarnessConfig, characterization_harness
 from parporo.porosity import (admissible_collection, complementary_collection,
                               free_collection, hole_esssup_bracket,
@@ -30,6 +32,7 @@ from parporo.sets import (Freeness, HalfSpaceTime, PointCloud, SpatialHyperplane
 from parporo.weights import (WeightSpec, a1_ratio, a1_scan, annular_constant,
                              integrate_weight)
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 LOG2_9 = math.log2(9.0)
 
 GRID_N = (1, 2)
@@ -438,15 +441,14 @@ def test_criterion_9_end_to_end(hyperplane, origin_point):
 
 
 # ---------------------------------------------------------------------------
-# criterion 10: determinism across worker counts
+# criterion 10: determinism across worker counts and repeated scans
 # ---------------------------------------------------------------------------
 
 
-def _porosity_json(model, geom, threads):
+def _porosity_json(model, geom, cap=3):
     roots = draw_roots(geom, SamplerConfig(seed=10, samples=8))
     reports = porosity_curve(model, roots,
-                             [Fraction(1, 2), Fraction(1, 128)], 15, 3,
-                             threads=threads)
+                             [Fraction(1, 2), Fraction(1, 128)], 15, cap)
     from parporo.serialize import fraction_str
     return json.dumps([{
         "delta": fraction_str(rep.delta),
@@ -456,10 +458,10 @@ def _porosity_json(model, geom, threads):
     } for rep in reports], sort_keys=True)
 
 
-def _a1_json(model, geom, threads):
+def _a1_json(model, geom):
     roots = draw_roots(geom, SamplerConfig(seed=10, samples=6))
     spec = WeightSpec(beta=1 / 6, n=1, p=2.0)
-    rep = a1_scan(model, roots, 2.0, spec, tol=1e-3, threads=threads)
+    rep = a1_scan(model, roots, 2.0, spec, tol=1e-3)
     return json.dumps({
         "sup": [repr(rep.sup_ratio.lo), repr(rep.sup_ratio.hi)],
         "witness": rep.witness_index,
@@ -467,10 +469,27 @@ def _a1_json(model, geom, threads):
     }, sort_keys=True)
 
 
-def test_criterion_10_determinism(hyperplane):
+def _cli_json(capsys, argv):
+    code = run(argv)
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timestamp")
+    return code, json.dumps(report, sort_keys=True)
+
+
+def test_criterion_10_determinism(hyperplane, layered_grid, capsys):
+    # --threads is accepted and ignored: a report is the same at any count
+    hyperplane_json = str(FIXTURES / "hyperplane.json")
+    commands = (["porosity", "--set", hyperplane_json, "--samples", "8", "--cap", "3",
+                 "--seed", "10"],
+                ["a1", "--set", hyperplane_json, "--samples", "6", "--tol", "1e-3",
+                 "--seed", "10"])
+    cli_ok = all(_cli_json(capsys, [*argv, "--threads", "1"])
+                 == _cli_json(capsys, [*argv, "--threads", "4"]) for argv in commands)
+    # each scan twice on one model object: the second call must not read
+    # state the first left behind, such as a cloud's held columns
     g = new_geometry(1, 2.0)
-    porosity_blobs = {t: _porosity_json(hyperplane, g, t) for t in (1, 4, 8)}
-    a1_blobs = {t: _a1_json(hyperplane, g, t) for t in (1, 4, 8)}
-    ok = (porosity_blobs[1] == porosity_blobs[4] == porosity_blobs[8]
-          and a1_blobs[1] == a1_blobs[4] == a1_blobs[8])
-    _report(10, "determinism", ok)
+    cloud = PointCloud(layered_grid.points)
+    scans = (lambda: _porosity_json(hyperplane, g), lambda: _porosity_json(cloud, g, cap=2),
+             lambda: _a1_json(hyperplane, g))
+    repeat_ok = all(scan() == scan() for scan in scans)
+    _report(10, "determinism", cli_ok and repeat_ok)

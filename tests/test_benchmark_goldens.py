@@ -4,9 +4,9 @@ their stored reports, byte for byte.
 Each command runs in-process from the repository root, as
 ``tests/test_readme_examples.py`` runs the README's; its exit code and its
 stdout with the timestamp removed must equal the stored report under
-``perfbench/golden/``, which this test only reads.  The worker count never
-enters a report, so each command also runs with two workers against the
-same stored report.
+``perfbench/golden/``, which this test only reads.  ``--threads`` is
+accepted and ignored, so each command also runs at ``--threads 2`` against
+the same stored report.
 """
 
 import json
@@ -43,7 +43,6 @@ def with_threads(argv, threads):
 def test_benchmark_command_matches_stored_report(path, threads, capsys, monkeypatch):
     golden = json.loads(path.read_text(encoding="utf-8"))
     monkeypatch.chdir(REPO)
-    monkeypatch.delenv("PARPORO_THREADS", raising=False)
     code = run(with_threads(list(golden["argv"]), threads))
     out = TIMESTAMP.sub("\n", capsys.readouterr().out, count=1)
     assert code == golden["exit_code"]

@@ -5,12 +5,10 @@
 the same float faces, a point on the overlap of two neighbouring columns'
 rounded faces lies in both, and a point in no column lies in none.  The
 searches reach it through ``porosity._freeness`` and never build a box.
-Each column is found once per thread and spatial grid.
+Each column is found once per spatial grid.
 """
 
 import math
-import sys
-import threading
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -153,10 +151,10 @@ def test_a_point_outside_every_column_lies_in_none():
     # beyond it and below the lower face
     for level in range(3):
         for s in range(1 << (root.geom.d * level)):
-            assert cloud._column_times(root.address(level, (s,)), {}) == []
+            assert cloud._column_times(root.address(level, (s,))) == []
     # points inside land in their column, its times sorted
     inside = PointCloud(((0.25, -0.5), (-0.25, -0.75), (0.3, -0.9), (0.25, -1.0)))
-    assert [inside._column_times(root.address(1, (s,)), {}) for s in range(4)] == \
+    assert [inside._column_times(root.address(1, (s,))) for s in range(4)] == \
         [[], [-0.75], [], [-1.0, -0.9, -0.5]]
 
 
@@ -188,8 +186,7 @@ def test_the_index_rejects_a_cloud_of_another_dimension(monkeypatch, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
-STOPPING = ["stopping", "--set", "fixtures/layered.json", "--delta", "1/64", "--cap", "3",
-            "--threads", "1"]
+STOPPING = ["stopping", "--set", "fixtures/layered.json", "--delta", "1/64", "--cap", "3"]
 
 
 def no_box(self, box):
@@ -197,14 +194,14 @@ def no_box(self, box):
 
 
 def count_columns(monkeypatch):
-    """Record each column found, with the thread that found it."""
+    """Record each column found."""
     builds = []
     find = PointCloud._column_times
 
-    def counting(self, addr, slabs):
+    def counting(self, addr):
         origins, w = addr.root.column_grid(addr.level)
-        builds.append((threading.get_ident(), origins, w, addr.spatial))
-        return find(self, addr, slabs)
+        builds.append((origins, w, addr.spatial))
+        return find(self, addr)
 
     monkeypatch.setattr(PointCloud, "_column_times", counting)
     return builds
@@ -217,7 +214,7 @@ def test_a_stopping_report_finds_each_column_once(monkeypatch, capsys):
     assert run(STOPPING) == 0
     capsys.readouterr()
     assert builds
-    assert len({origins for _thread, origins, _w, _s in builds}) == 1
+    assert len({origins for origins, _w, _s in builds}) == 1
     assert len(builds) == len(set(builds))
 
 
@@ -236,21 +233,15 @@ def test_roots_that_differ_in_time_share_their_columns(monkeypatch, layered_grid
     assert found and len(builds) == found
 
 
-def test_workers_do_not_evict_each_other_s_columns(monkeypatch, layered_grid):
-    # roots on distinct spatial grids, searched by two workers that switch
-    # every microsecond: each worker finds each column of its grid once
+def test_a_scan_finds_each_column_of_each_grid_once(monkeypatch, layered_grid):
+    # roots on distinct spatial grids, searched one after the other: the
+    # cloud finds each column of a root's grid once
     geom = new_geometry(1, 2.0)
     roots = draw_roots(geom, SamplerConfig(seed=7, samples=12))
     assert len({root.column_grid(0)[0] for root in roots}) == len(roots)
     builds = count_columns(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        porosity_curve(PointCloud(layered_grid.points), roots, [Fraction(1, 64)], 3, 2,
-                       threads=2)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len({thread for thread, *_column in builds}) == 2
+    porosity_curve(PointCloud(layered_grid.points), roots, [Fraction(1, 64)], 3, 2)
+    assert len({origins for origins, _w, _s in builds}) == len(roots)
     repeats = Counter(builds)
     assert max(repeats.values()) == 1, repeats.most_common(3)
 
@@ -272,26 +263,20 @@ def test_walk_on_a_point_cloud_tests_no_box(monkeypatch, layered_grid, p):
     assert got == want
 
 
-def test_point_cloud_reports_match_the_box_search_at_every_worker_count(monkeypatch,
-                                                                      layered_grid):
-    # the workers share one cloud: a search that read another root's
-    # columns would change a covered fraction
+def test_point_cloud_reports_match_the_box_search(monkeypatch, layered_grid):
+    # the roots share one cloud: a search that read another root's columns
+    # would change a covered fraction
     geom = new_geometry(1, 2.0)
     roots = draw_roots(geom, SamplerConfig(seed=5, samples=12))
     deltas = [Fraction(1, 2), Fraction(1, 64)]
 
-    def covered(threads):
+    def covered():
         cloud = PointCloud(layered_grid.points)
-        reports = porosity_curve(cloud, roots, deltas, 3, 2, threads=threads)
+        reports = porosity_curve(cloud, roots, deltas, 3, 2)
         return [[(s["covered"], s["hole"]) for s in rep.samples] for rep in reports]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        by_workers = {threads: covered(threads) for threads in (1, 2, 4)}
-    finally:
-        sys.setswitchinterval(interval)
+    runs = covered()
     monkeypatch.setattr(PointCloud, "meets_run", sets._RunAsBox.meets_run)
-    boxes = covered(1)
+    boxes = covered()
     assert len({c for rep in boxes for c, _hole in rep}) > 2  # not all free or all met
-    assert by_workers[1] == by_workers[2] == by_workers[4] == boxes
+    assert runs == boxes

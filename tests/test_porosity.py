@@ -191,7 +191,7 @@ def test_porosity_scan_deterministic_and_monotone(hyperplane, geom12):
     reports = porosity_curve(hyperplane, roots, deltas, 15, 3)
     cs = [rep.empirical_c for rep in reports]
     assert cs == sorted(cs)  # nondecreasing as delta decreases
-    again = porosity_curve(hyperplane, roots, deltas, 15, 3, threads=4)
+    again = porosity_curve(hyperplane, roots, deltas, 15, 3)
     assert [r.empirical_c for r in again] == cs
     assert [r.witness_index for r in again] == [r.witness_index for r in reports]
 

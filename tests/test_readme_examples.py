@@ -31,7 +31,6 @@ def test_readme_example_matches_stored_report(path, capsys, monkeypatch):
     golden = json.loads(path.read_text(encoding="utf-8"))
     assert "parporo " + " ".join(golden["argv"]) in README
     monkeypatch.chdir(REPO)
-    monkeypatch.delenv("PARPORO_THREADS", raising=False)
     code = run(list(golden["argv"]))
     out = TIMESTAMP.sub("\n", capsys.readouterr().out, count=1)
     assert code == golden["exit_code"]

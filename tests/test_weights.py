@@ -180,10 +180,10 @@ def test_a1_scan_deterministic(geom12, hyperplane):
     config = SamplerConfig(seed=3, samples=6)
     roots = draw_roots(geom12, config)
     rep1 = a1_scan(hyperplane, roots, 2.0, SPEC, tol=1e-3)
-    rep4 = a1_scan(hyperplane, roots, 2.0, SPEC, tol=1e-3, threads=4)
-    assert rep1.sup_ratio.lo == rep4.sup_ratio.lo
-    assert rep1.sup_ratio.hi == rep4.sup_ratio.hi
-    assert rep1.witness_index == rep4.witness_index
+    rep2 = a1_scan(hyperplane, roots, 2.0, SPEC, tol=1e-3)
+    assert rep1.sup_ratio.lo == rep2.sup_ratio.lo
+    assert rep1.sup_ratio.hi == rep2.sup_ratio.hi
+    assert rep1.witness_index == rep2.witness_index
     assert math.isfinite(rep1.sup_ratio.hi)
     assert not rep1.any_unbounded
 
