@@ -152,16 +152,17 @@ def _union_measure(members: Sequence[DyadicAddress]) -> Fraction:
 def stopping_partition(model: ClosedSetModel, root_addr: DyadicAddress,
                        base: Iterable[DyadicAddress], Lambda: Fraction,
                        params: StoppingParams, depth_cap: int,
-                       theta_grid: Optional[Sequence[float]] = None
-                       ) -> StoppingPartition:
+                       theta_grid: Optional[Sequence[float]] = None,
+                       cache: Optional[HoleCache] = None) -> StoppingPartition:
     """Sort the forward-parent chains of ``base`` by their stopping times.
 
     Every chain element's stopping time is computed independently (no use
     of the consecutive-index identity), so the structural laws remain
-    testable against this output.
+    testable against this output.  ``cache`` (one of ``model`` at
+    ``depth_cap``) may already hold holes the caller searched.
     """
     Lambda = Fraction(Lambda)
-    cache = HoleCache(model, depth_cap)
+    cache = cache or HoleCache(model, depth_cap)
     base = sorted(base, key=lambda a: (a.level, a.temporal, a.spatial))
     tau_by_key: dict = {}
     members: dict[int, dict] = {}

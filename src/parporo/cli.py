@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .geometry import Geometry, Root, default_parameters, lattice_dump, new_geometry
 from .improvement import HarnessConfig, characterization_harness, tower_partition
-from .porosity import (admissible_collection, complementary_collection,
-                       hole_of_translate, maximal_hole, porosity_curve)
+from .porosity import (admissible_collection, complementary_collection, maximal_hole,
+                       porosity_curve)
 from .sampling import SamplerConfig, scan_roots
 from .serialize import fraction_str, interval_json, number_str, parse_number
 from .sets import check_dimension, set_from_json
@@ -326,15 +326,16 @@ def run(argv=None) -> int:
             }
 
         elif args.command == "stopping":
-            from .chains import (decay_check, stopping_partition, verify_nesting,
-                                 verify_disjoint_from_admissible)
+            from .chains import (HoleCache, decay_check, stopping_partition,
+                                 verify_nesting, verify_disjoint_from_admissible)
             model, _ = _require_set(args, geom.n)
             root = _root(geom, cfg)
             params = default_parameters(geom)
             cap = int(cfg["cap"])
             delta = _fraction(cfg["delta"])
             base_addr = root.address()
-            hole = hole_of_translate(model, base_addr, params.Phi, cap)
+            cache = HoleCache(model, cap)
+            hole = cache.hole_of_translate(base_addr, params.Phi)
             adm = admissible_collection(model, base_addr, delta, params.Phi, cap,
                                         hole=hole)
             comp = complementary_collection(model, base_addr, delta, params.Phi,
@@ -344,7 +345,7 @@ def run(argv=None) -> int:
                 raise CliError("stopping threshold is zero: the translated root "
                                "has no certified hole at this depth cap")
             part = stopping_partition(model, base_addr, comp.rectangles, lam,
-                                      params, cap)
+                                      params, cap, cache=cache)
             nest_ok, _ = verify_nesting(part)
             disj_ok, _ = verify_disjoint_from_admissible(part, adm)
             decay = decay_check(part, geom)

@@ -3,9 +3,12 @@
 Hole measures are exact rationals in units of the lattice root's measure,
 so admissibility thresholds compare exactly.  One kernel, ``_walk``, holds
 the only search loop: breadth first, level by level, with pruning at free
-rectangles.  The maximal hole is the first free cell of the first level
-that has one, and the maximal free collection is every level's free cells.
-Depth caps always surface in the result instead of silently truncating.
+rectangles.  The maximal free collection is every level's free cells.  The
+maximal hole is the least free cell, by (temporal, spatial) index, of the
+first level that has one; its search tests that level's runs in that
+order and stops at the first free one, so it never walks the rest of the
+level, nor any level below.  Depth caps always surface in the result
+instead of silently truncating.
 
 Slab runs: the kernel's unit of work is a run, a cell together with the
 next ``m - 1`` slabs of its spatial column, tested once by the model's
@@ -31,6 +34,8 @@ from __future__ import annotations
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from heapq import heapify, heappop, heappush
 from typing import Iterator, Optional, Sequence
 
 from .geometry import DyadicAddress, Root
@@ -193,7 +198,8 @@ def _freeness(model: ClosedSetModel, addr: DyadicAddress, run: int) -> Freeness:
     return model.meets_run(addr, run)
 
 
-def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
+def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int,
+          first_free: bool = False
           ) -> Iterator[tuple[list[tuple[DyadicAddress, int]], bool,
                               list[tuple[DyadicAddress, int]]]]:
     """Per level down to ``depth_cap`` below ``root_addr``: the free runs,
@@ -208,13 +214,26 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
     other models test the run's box.  A run E misses is free.  A run E
     meets stays non-free when it is a single slab or the set is
     time-invariant, and only such a verdict counts as UNKNOWN; any other
-    run is bisected in time, the lower half tested first, its upper half
-    an address moved in time without re-validation.  UNKNOWN runs count as
-    non-free and are descended into.
+    run is bisected in time into a lower half, at the run's own first
+    slab, and an upper half, an address moved in time without
+    re-validation.  UNKNOWN runs count as non-free and are descended into.
+
+    Which runs are tested does not depend on the order they are tested in.
+    A full walk takes them from a stack, each level's runs in frontier
+    order, a lower half before its upper half.  With ``first_free`` the
+    walk takes them from a heap by the (temporal, spatial) index of their
+    first slab instead, and a half never comes before the run it halves,
+    so the first free run tested starts at the least free cell of its
+    level, and the caller stops there: that level's free runs start with
+    that run, and its non-free runs are the ones tested so far.  A model
+    that never answers UNKNOWN stops testing at that run; one that may
+    (``model.answers_unknown``) goes on until it sees an UNKNOWN verdict,
+    so the level's flag is the full walk's.
     """
     if depth_cap < 0:
         raise ValueError("depth_cap must be nonnegative")
     invariant = model.time_invariant
+    drain = model.answers_unknown
     root = root_addr.root
     frontier = [(root_addr, 1)]
     for rel in range(depth_cap + 1):
@@ -225,9 +244,16 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
         free: list[tuple[DyadicAddress, int]] = []
         rest: list[tuple[DyadicAddress, int]] = []
         unknown = False
-        stack = frontier[::-1]
-        while stack:
-            addr, run = stack.pop()
+        # the runs of a level are disjoint, so no two entries share a
+        # (temporal, spatial) key and the heap never compares addresses
+        queue = [(addr.temporal, addr.spatial, addr, run) for addr, run in reversed(frontier)]
+        if first_free:
+            heapify(queue)
+            pop, push = partial(heappop, queue), partial(heappush, queue)
+        else:
+            pop, push = queue.pop, queue.append
+        while queue:
+            temporal, spatial, addr, run = pop()
             state = _freeness(model, addr, run)
             if state is Freeness.EMPTY:
                 free.append((addr, run))
@@ -236,27 +262,30 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int
                 rest.append((addr, run))
             else:
                 half = run // 2
-                stack.append((addr._with_temporal(addr.temporal + half), run - half))
-                stack.append((addr, half))
+                upper = temporal + half
+                push((upper, spatial, addr._with_temporal(upper), run - half))
+                push((temporal, spatial, addr, half))
+            if first_free and free and (unknown or not drain):
+                break
         yield free, unknown, rest
         frontier = rest
 
 
 def maximal_hole(model: ClosedSetModel, root_addr: DyadicAddress,
                  depth_cap: int) -> HoleResult:
-    """A free rectangle of maximal spatial side: the first free cell, by
-    (temporal, spatial) index, of the first level of the search that has one
-    (the first cell of the free run that comes first in that order).
+    """A free rectangle of maximal spatial side: the least free cell, by
+    (temporal, spatial) index, of the first level of the search that has
+    one.  The search walks in that order and stops at that cell.
 
     UNKNOWN rectangles count as non-free, which keeps the result a certified
-    lower bound; ``unknown_present`` covers the levels down to the hole's.
+    lower bound; ``unknown_present`` covers the levels down to the hole's,
+    each level's whole walk included.
     """
     unknown_present = False
-    for free, unknown, rest in _walk(model, root_addr, depth_cap):
+    for free, unknown, rest in _walk(model, root_addr, depth_cap, first_free=True):
         unknown_present |= unknown
         if free:
-            best = min((addr for addr, _run in free),
-                       key=lambda a: (a.temporal, a.spatial))
+            best = free[0][0]
             return HoleResult(best, best.measure_fraction(), best.l_x(),
                               depth_cap_hit=False, unknown_present=unknown_present)
     return HoleResult(None, Fraction(0), Fraction(0),

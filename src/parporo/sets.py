@@ -27,7 +27,11 @@ Each model class also declares ``time_invariant``: ``True`` when E is a
 product ``F x R`` (a spatial set crossed with the time axis), so that
 ``meets_box`` never reads the temporal bounds of its box.  The free search
 then never splits a run of slabs that E meets: every slab of it would get
-the same verdict.
+the same verdict.  It declares ``answers_unknown`` too: ``True`` when
+``meets_box`` or ``meets_run`` may answer ``UNKNOWN``.  A maximal-hole
+search stops at its hole on a model that never does; on one that may, it
+goes on testing the hole's level until it sees an ``UNKNOWN`` verdict, so
+its ``unknown_present`` flag is the one a walk of the whole level gives.
 
 The porosity side reads ``meets_run``; the weight integrator reads
 ``cell_weight``, and ``sup_distance_bracket`` brackets the sup from the
@@ -189,6 +193,7 @@ class PointCloud:
     points: tuple[Point, ...]
 
     time_invariant = False
+    answers_unknown = False
 
     def __post_init__(self):
         if not self.points:
@@ -405,6 +410,7 @@ class BoxUnion(_RunAsBox):
     boxes: tuple[Box, ...]
 
     time_invariant = False
+    answers_unknown = False
 
     def __post_init__(self):
         if not self.boxes:
@@ -476,6 +482,7 @@ class HalfSpaceTime(_RunAsBox):
     future: bool = True
 
     time_invariant = False
+    answers_unknown = False
 
     @property
     def is_null(self) -> bool:
@@ -533,6 +540,7 @@ class SpatialHyperplane(_RunAsBox):
     value: float
 
     time_invariant = True
+    answers_unknown = False
 
     @property
     def is_null(self) -> bool:
@@ -607,6 +615,7 @@ class IFSFractal(_RunAsBox):
     depth_cap: int = 24
 
     time_invariant = True
+    answers_unknown = True
 
     def __post_init__(self):
         if not self.maps:

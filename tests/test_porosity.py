@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parporo import porosity
+from parporo import chains, porosity
+from parporo.cli import run
 from parporo.geometry import DyadicAddress, Root, new_geometry
 from parporo.improvement import HarnessConfig, characterization_harness, tower_partition
 from parporo.intervals import Interval
@@ -22,6 +24,8 @@ from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, PointCloud,
 
 from oracles import (brute_force_hole, brute_force_maximal_free, reference_maximal_free,
                      reference_maximal_hole)
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +307,24 @@ def _count_search_work(monkeypatch):
 
 
 def test_maximal_hole_stops_at_the_hole_level(monkeypatch, unit_root, origin_point):
-    # a time-dependent set: each level-1 column is one run of 16 slabs, and
-    # only the run holding the point (-0.5 lies on slab 8's lower face) is
-    # bisected, lower half first, down to single slabs
+    # a time-dependent set: each level-1 column is one run of 16 slabs; the
+    # search takes them by (temporal, spatial) and column 0, the least, is
+    # free, so it is the only level-1 run tested
     tested, expanded, columns, runs = _count_search_work(monkeypatch)
     hole = maximal_hole(origin_point, unit_root.address(), 3)
     assert hole.address.key() == (1, (0,), 0)
     # no level-1 cell is subdivided
+    assert columns == [0] and expanded == []
+    assert tested == [0, 1]
+    assert runs == [((0,), 0, 1), ((0,), 0, 16)]
+
+
+def test_free_collection_bisects_lower_half_first(monkeypatch, unit_root, origin_point):
+    # the full walk of level 1: only the run holding the point (-0.5 lies on
+    # slab 8's lower face) is bisected, lower half first, down to single slabs
+    tested, expanded, columns, runs = _count_search_work(monkeypatch)
+    search = free_collection(origin_point, unit_root.address(), 1)
+    assert search.level_counts == (0, 63)
     assert columns == [0] and expanded == []
     assert tested == [0] + [1] * 12
     assert [r for r in runs if r[0] == (2,)] == [
@@ -318,13 +333,42 @@ def test_maximal_hole_stops_at_the_hole_level(monkeypatch, unit_root, origin_poi
 
 
 def test_maximal_hole_tests_one_cell_per_column(monkeypatch, unit_root, hyperplane):
-    # a time-invariant set: one cell per spatial column, 4 level-1 columns
-    # standing for 64 cells
+    # a time-invariant set: one cell per spatial column, so the hole's one
+    # run stands for the 16 cells of column 0, and the full walk's 4
+    # level-1 runs for 64 cells
     tested, expanded, columns, _runs = _count_search_work(monkeypatch)
     hole = maximal_hole(hyperplane, unit_root.address(), 3)
     assert hole.address.key() == (1, (0,), 0)
     assert columns == [0] and expanded == []
+    assert tested == [0, 1]
+    tested.clear()
+    search = free_collection(hyperplane, unit_root.address(), 1)
+    assert search.level_counts == (0, 48)
     assert tested == [0] + [1] * (1 << unit_root.geom.d)
+
+
+def test_stopping_report_freeness_tests(monkeypatch, capsys):
+    # the layered stopping report: one hole search per address, the root
+    # translate's included, each stopping at its hole, and one admissible
+    # search of the root, which walks all its levels
+    tested, _expanded, _columns, _runs = _count_search_work(monkeypatch)
+    holes = []
+    real_hole = porosity.maximal_hole
+
+    def counting_hole(model, addr, depth_cap):
+        start = len(tested)
+        hole = real_hole(model, addr, depth_cap)
+        holes.append((addr.key(), len(tested) - start))
+        return hole
+
+    monkeypatch.setattr(chains, "maximal_hole", counting_hole)
+    monkeypatch.chdir(REPO)
+    assert run(["stopping", "--set", "fixtures/layered.json", "--delta", "1/64",
+                "--cap", "3"]) == 0
+    capsys.readouterr()
+    assert len(holes) == len({key for key, _count in holes}) == 115
+    assert sum(count for _key, count in holes) == 4437
+    assert len(tested) == 6180
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +532,86 @@ def test_run_search_matches_the_full_walk(case):
     assert search.depth_cap_hit == ref.depth_cap_hit
     assert search.total_measure == ref.total_measure
     assert maximal_hole(model, base, cap) == reference_maximal_hole(model, base, cap)
+
+
+def _near_face(draw, lo, hi, neighbour_lo):
+    """A coordinate on a half-open interval's lower or upper face, on the
+    next interval's lower face, one float below any of them, or inside."""
+    face = draw(st.sampled_from((lo, hi, neighbour_lo, 0.5 * (lo + hi))))
+    return math.nextafter(face, -math.inf) if draw(st.booleans()) else face
+
+
+@st.composite
+def ordered_holes(draw):
+    """A point cloud with points on and next to the faces of lattice cells
+    (rounded column faces that neighbours share included), or the Cantor
+    set at a model cap of 1 or 2, and a base at level 0 or 1."""
+    p = draw(st.sampled_from((2.0, 1.5)))
+    g = QUOTIENT_GEOMS[p]
+    root = Root(g, (draw(st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(1, 2)))),),
+                draw(st.sampled_from((Fraction(0), Fraction(3, 7)))),
+                draw(st.sampled_from((Fraction(1), Fraction(3, 7)))),
+                draw(st.sampled_from((Fraction(0), Fraction(1, 8)))))
+    level = draw(st.integers(0, 1))
+    base = root.address(level, (draw(st.integers(0, (1 << g.d * level) - 1)),),
+                        draw(st.integers(-1, 1)))
+    cap = draw(st.integers(1, 2 if p == 2.0 else 1))
+    if draw(st.booleans()):
+        return cantor_times_time(p, depth_cap=draw(st.integers(1, 2))), base, cap
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        level = base.level + draw(st.integers(1, cap))
+        cells = 1 << (g.d * level)
+        width = 1 << (g.d * (level - base.level))
+        spatial = base.spatial[0] * width + draw(st.integers(0, width - 1))
+        slabs = root.slab_count(level) // root.slab_count(base.level)
+        addr = root.address(level, (spatial,),
+                            base.temporal * slabs + draw(st.integers(0, slabs - 1)))
+        (x_lo, x_hi), = addr.run_box(1)[0]
+        x_next = (root.address(level, (spatial + 1,), addr.temporal).run_box(1)[0][0][0]
+                  if spatial + 1 < cells else x_hi)
+        t_lo, t_hi = addr.run_faces(1)
+        t_next = addr._with_temporal(addr.temporal + 1).run_faces(1)[0]
+        points.append((_near_face(draw, x_lo, x_hi, x_next),
+                       _near_face(draw, t_lo, t_hi, t_next)))
+    return PointCloud(tuple(points)), base, cap
+
+
+def _stack_first_is_not_least():
+    # column 0 meets the point in slab 0, so the full walk's stack bisects
+    # it and meets its free slab 1 first; column 1 is free from slab 0
+    root = _root_at(2.0, Fraction(0))
+    return PointCloud(((-0.4, -1 + 1 / 32),)), root.address(), 2
+
+
+def _on_a_shared_face():
+    # a point on the overlap of two columns' rounded faces lies in both
+    root = Root(QUOTIENT_GEOMS[2.0], (Fraction(1, 3),), Fraction(3, 7), Fraction(3, 7),
+                Fraction(1, 8))
+    left, right = root.address(2, (3,), 5), root.address(2, (4,), 5)
+    assert right.run_box(1)[0][0][0] < left.run_box(1)[0][0][1]
+    return PointCloud(((right.run_box(1)[0][0][0], left.run_faces(1)[0]),)), \
+        root.address(), 2
+
+
+@given(case=ordered_holes())
+@example(case=_stack_first_is_not_least())
+@example(case=_on_a_shared_face())
+# level 1: columns 0 and 1 miss the Cantor set, column 2 holds the witness
+# 0 and column 3 meets a cylinder at the cap, an UNKNOWN after the hole
+@example(case=(cantor_times_time(2.0, depth_cap=1), _root_at(2.0, Fraction(0)).address(), 2))
+@example(case=(cantor_times_time(2.0, depth_cap=2), _root_at(2.0, Fraction(0)).address(), 2))
+@settings(max_examples=120, deadline=None)
+def test_maximal_hole_is_the_least_free_cell_of_the_full_walk(case):
+    # the hole search stops at its first free run: it must be the full
+    # walk's least free cell by (temporal, spatial), with the full walk's
+    # flags, an UNKNOWN verdict after the hole included
+    model, base, cap = case
+    hole = maximal_hole(model, base, cap)
+    ref = reference_maximal_hole(model, base, cap)
+    assert (hole.address, hole.measure, hole.side) == (ref.address, ref.measure, ref.side)
+    assert (hole.depth_cap_hit, hole.unknown_present) == \
+        (ref.depth_cap_hit, ref.unknown_present)
 
 
 def test_hole_of_translate_integer_vs_real(unit_root, hyperplane):

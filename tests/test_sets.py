@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parporo.cli import run
-from parporo.geometry import ParabolicRectangle
+from parporo.geometry import ParabolicRectangle, Root, new_geometry
 from parporo.intervals import Interval
 from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal, IFSMap,
                           PointCloud, SpatialHyperplane, _gap_span_weight, _sup_bracket,
@@ -481,8 +481,51 @@ def test_time_invariance_is_declared_on_the_product_sets():
         {"SpatialHyperplane", "IFSFractal"}
 
 
-INVARIANT_MODELS = [(model, n) for model, n, _exact in SPAN_MODELS if model.time_invariant] \
+# every model of the declaration tests, the Cantor set at three caps
+DECLARED_MODELS = [(model, n) for model, n, _exact in SPAN_MODELS] \
     + [(cantor_times_time(2.0, depth_cap=cap), 1) for cap in (1, 2, 24)]
+DECLARED_GEOMETRIES = {n: new_geometry(n, 2.0) for n in (1, 2)}
+
+
+def test_unknown_answers_are_declared_on_the_capped_walk_only():
+    models = (PointCloud, BoxUnion, HalfSpaceTime, SpatialHyperplane, IFSFractal)
+    assert {type(model) for model, _n in DECLARED_MODELS} == set(models)
+    assert {m.__name__ for m in models if m.answers_unknown} == {"IFSFractal"}
+    # not vacuous: at model cap 1, the interval [0.25, 0.5) meets the
+    # depth-1 cylinder [0, 1/3] but holds no witness
+    capped = cantor_times_time(2.0, depth_cap=1)
+    assert capped.meets_box((((0.25, 0.5),), (0.0, 1.0))) is Freeness.UNKNOWN
+    root = Root(DECLARED_GEOMETRIES[1], (Fraction(0),), Fraction(0), Fraction(1))
+    assert capped.meets_run(root.address(1, (3,), 0), 16) is Freeness.UNKNOWN
+
+
+@given(data=st.data(), which=st.integers(0, len(DECLARED_MODELS) - 1))
+@settings(max_examples=300, deadline=None)
+def test_a_model_that_declares_no_unknown_answers_none(data, which):
+    # the declaration the hole search relies on when it stops at its hole
+    model, n = DECLARED_MODELS[which]
+    bounds = []
+    for _ in range(n):
+        lo = data.draw(QUARTERS)
+        bounds.append((lo, lo + data.draw(sides)))
+    t_lo = data.draw(st.floats(-2.0, 1.0))
+    box = (tuple(bounds), (t_lo, t_lo + data.draw(sides)))
+    root = Root(DECLARED_GEOMETRIES[n],
+                tuple(data.draw(st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(1, 2))))
+                      for _ in range(n)),
+                data.draw(st.sampled_from((Fraction(0), Fraction(-1, 2)))),
+                data.draw(st.sampled_from((Fraction(1), Fraction(3, 7)))),
+                data.draw(st.sampled_from((Fraction(0), Fraction(1, 8)))))
+    level = data.draw(st.integers(0, 3))
+    addr = root.address(level, tuple(data.draw(st.integers(0, (1 << root.geom.d * level) - 1))
+                                     for _ in range(n)),
+                        data.draw(st.integers(-4, root.slab_count(level) + 4)))
+    verdicts = {model.meets_box(box), model.meets_run(addr, data.draw(st.integers(1, 40)))}
+    if not type(model).answers_unknown:
+        assert Freeness.UNKNOWN not in verdicts
+
+
+INVARIANT_MODELS = [(model, n) for model, n in DECLARED_MODELS if model.time_invariant]
 time_bounds = st.one_of(
     st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6)).map(lambda t: (t[0], t[0] + t[1])),
     st.just((-math.inf, math.inf)), st.just((0.0, 0.0)), st.just((1.0, -1.0)))
