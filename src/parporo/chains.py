@@ -48,6 +48,17 @@ class HoleCache:
         return hole_of_translate(self.model, addr, theta, self.depth_cap)
 
 
+def _cache_for(model: ClosedSetModel, depth_cap: int,
+               cache: Optional[HoleCache]) -> HoleCache:
+    """``cache``, or a new one when none is given; a cache holds the holes of
+    one model at one depth cap, so any other is refused."""
+    if cache is None:
+        return HoleCache(model, depth_cap)
+    if cache.model is not model or cache.depth_cap != depth_cap:
+        raise ValueError("hole cache was built for another model or depth cap")
+    return cache
+
+
 def theta_grid_for(params: StoppingParams, density: int = 1) -> list[float]:
     """Search translations: the integer sublattice of
     ``[phi - theta0, Phi - theta0]`` refined ``density`` times per unit.
@@ -92,7 +103,7 @@ def stopping_time(model: ClosedSetModel, addr: DyadicAddress, Lambda: Fraction,
     for theta in grid:
         if not lo <= float(theta) <= hi:
             raise ValueError(f"search translation {theta} outside [{lo}, {hi}]")
-    cache = cache or HoleCache(model, depth_cap)
+    cache = _cache_for(model, depth_cap, cache)
     any_cap_limited = False
     current = addr
     for k in range(1, addr.level + 1):
@@ -162,7 +173,7 @@ def stopping_partition(model: ClosedSetModel, root_addr: DyadicAddress,
     ``depth_cap``) may already hold holes the caller searched.
     """
     Lambda = Fraction(Lambda)
-    cache = cache or HoleCache(model, depth_cap)
+    cache = _cache_for(model, depth_cap, cache)
     base = sorted(base, key=lambda a: (a.level, a.temporal, a.spatial))
     tau_by_key: dict = {}
     members: dict[int, dict] = {}
@@ -284,7 +295,7 @@ def doubling_sigma(model: ClosedSetModel, bases: Iterable[DyadicAddress],
     inequality ``|M(P)| >= sigma_hat^j |M(pi_j^+ P^psi)|`` then holds for
     every walked chain.
     """
-    cache = cache or HoleCache(model, depth_cap)
+    cache = _cache_for(model, depth_cap, cache)
     ratios: list[Fraction] = []
     for base in bases:
         prev = cache.hole(base).measure

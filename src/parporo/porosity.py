@@ -220,7 +220,8 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int,
 
     Which runs are tested does not depend on the order they are tested in.
     A full walk takes them from a stack, each level's runs in frontier
-    order, a lower half before its upper half.  With ``first_free`` the
+    order, a lower half before its upper half: it needs no order, and a
+    heap's pushes and pops cost it about a fifth more time.  With ``first_free`` the
     walk takes them from a heap by the (temporal, spatial) index of their
     first slab instead, and a half never comes before the run it halves,
     so the first free run tested starts at the least free cell of its

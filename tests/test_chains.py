@@ -65,6 +65,17 @@ def test_stopping_time_bounded_by_level(unit_root, hyperplane):
         assert out.tau is not None and out.tau <= m
 
 
+def test_a_hole_cache_of_another_model_or_cap_is_refused(unit_root, hyperplane):
+    params = default_parameters(unit_root.geom)
+    addr = unit_root.address().children()[0]
+    for cache in (HoleCache(PointCloud(((5.0, 5.0),)), 2), HoleCache(hyperplane, 3)):
+        with pytest.raises(ValueError, match="another model or depth cap"):
+            stopping_time(hyperplane, addr, Fraction(1, 64), params, 2, cache=cache)
+        with pytest.raises(ValueError, match="another model or depth cap"):
+            stopping_partition(hyperplane, unit_root.address(), [addr], Fraction(1, 64),
+                               params, 2, cache=cache)
+
+
 def test_stopping_grid_rejects_out_of_range(unit_root, hyperplane):
     params = default_parameters(unit_root.geom)
     addr = unit_root.address().children()[0]
