@@ -33,8 +33,7 @@ def _scan_roots(geom: Geometry, cfg: dict) -> list[Root]:
 
 
 class CliError(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """Bad arguments or input: the command exits 1 with the message."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +49,7 @@ def _load_set(raw: str):
         is_file = False
     try:
         text = path.read_text(encoding="utf-8") if is_file else raw
-        return set_from_json(json.loads(text))
+        return set_from_json(json.loads(text))[0]
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"invalid set definition: {exc}") from exc
 
@@ -186,7 +185,7 @@ def _theta_default(cfg: dict, geom: Geometry):
     return default_parameters(geom).Phi
 
 
-def _emit(report: dict, cfg: dict, out, fmt: str, csv_rows=None) -> None:
+def _emit(report: dict, out, fmt: str, csv_rows=None) -> None:
     if fmt == "csv" and csv_rows is not None:
         text = "\n".join(",".join(str(v) for v in row) for row in csv_rows) + "\n"
     else:
@@ -223,7 +222,7 @@ def run(argv=None) -> int:
             result = {"cells": rows, "count": len(rows)}
 
         elif args.command == "maxhole":
-            model, _ = _require_set(args, geom.n)
+            model = _require_set(args, geom.n)
             root = _root(geom, cfg)
             hole = maximal_hole(model, root.address(), int(cfg["cap"]))
             result = {
@@ -240,7 +239,7 @@ def run(argv=None) -> int:
                 exit_code = 2
 
         elif args.command == "porosity":
-            model, _ = _require_set(args, geom.n)
+            model = _require_set(args, geom.n)
             roots = _scan_roots(geom, cfg)
             theta = _theta_default(cfg, geom)
             reports = porosity_curve(model, roots, _delta_list(cfg, geom), theta,
@@ -267,7 +266,7 @@ def run(argv=None) -> int:
                 exit_code = 2
 
         elif args.command == "a1":
-            model, _ = _require_set(args, geom.n)
+            model = _require_set(args, geom.n)
             theta = _finite(cfg, "theta") if cfg.get("theta") is not None else 2
             spec = WeightSpec(beta=float(_finite(cfg, "beta")), n=geom.n, p=geom.p)
             report = a1_scan(model, _scan_roots(geom, cfg), float(theta), spec,
@@ -328,7 +327,7 @@ def run(argv=None) -> int:
         elif args.command == "stopping":
             from .chains import (HoleCache, decay_check, stopping_partition,
                                  verify_nesting, verify_disjoint_from_admissible)
-            model, _ = _require_set(args, geom.n)
+            model = _require_set(args, geom.n)
             root = _root(geom, cfg)
             params = default_parameters(geom)
             cap = int(cfg["cap"])
@@ -376,7 +375,7 @@ def run(argv=None) -> int:
                 exit_code = 2
 
         elif args.command == "tower":
-            model, _ = _require_set(args, geom.n)
+            model = _require_set(args, geom.n)
             root = _root(geom, cfg)
             theta = _theta_default(cfg, geom)
             deltas = _delta_list(cfg, geom)
@@ -394,7 +393,7 @@ def run(argv=None) -> int:
                 exit_code = 2
 
         elif args.command == "characterize":
-            model, _ = _require_set(args, geom.n)
+            model = _require_set(args, geom.n)
             hc = HarnessConfig(seed=int(cfg["seed"]), samples=int(cfg["samples"]),
                                depth_cap=int(cfg["cap"]))
             result = characterization_harness(model, geom, hc)
@@ -405,7 +404,7 @@ def run(argv=None) -> int:
             raise CliError(f"unknown subcommand {args.command!r}")
 
         report = _envelope(args.command, cfg, result)
-        _emit(report, cfg, args.out, str(cfg.get("format") or "json"), csv_rows)
+        _emit(report, args.out, str(cfg.get("format") or "json"), csv_rows)
         return exit_code
 
     except (CliError, ValueError, OverflowError) as exc:
@@ -417,9 +416,9 @@ def run(argv=None) -> int:
 def _require_set(args, n: int):
     if not getattr(args, "set_def", None):
         raise CliError("this subcommand requires --set (file path or inline JSON)")
-    model, p = _load_set(args.set_def)
+    model = _load_set(args.set_def)
     check_dimension(model, n)  # a ValueError, so exit 1
-    return model, p
+    return model
 
 
 def main() -> None:

@@ -251,15 +251,6 @@ class ParabolicRectangle:
     def center_point(self, p: float) -> tuple[float, ...]:
         return self.center + (0.5 * (self.t_lo(p) + self.t_hi(p)),)
 
-    def contains(self, point: Sequence[float], p: float) -> bool:
-        *x, t = point
-        if len(x) != self.n:
-            raise ValueError("point dimension mismatch")
-        for (lo, hi), xi in zip(self.spatial_bounds(), x):
-            if not lo <= xi < hi:
-                return False
-        return self.t_lo(p) <= t < self.t_hi(p)
-
     def diam_p(self, p: float) -> float:
         return max(self.side, self.l_t(p) ** (1.0 / p))
 
@@ -444,17 +435,13 @@ class Root:
             spatial = (0,) * self.geom.n
         return DyadicAddress(self, level, tuple(spatial), temporal)
 
-    def translated(self, theta) -> "Root":
-        """Fresh lattice anchored at the root shifted by ``theta * l_t(root)``.
+    def translated(self, theta: float) -> "Root":
+        """Fresh lattice anchored at the root shifted by ``theta * l_t(root)``,
+        its top time a float.
 
         Used for non-integer translations; integer translations stay inside
         this root's extended lattice via ``DyadicAddress.translated``.
         """
-        if isinstance(theta, (int, Fraction)) and isinstance(self.top_time, Fraction) \
-                and float(self.geom.p).is_integer():
-            lt = (1 - self.gamma0) * self.side ** int(self.geom.p)
-            return Root(self.geom, self.center, self.top_time + Fraction(theta) * lt,
-                        self.side, self.gamma0)
         return Root(self.geom, self.center, float(self.top_time) + float(theta) * self._l_t,
                     self.side, self.gamma0)
 

@@ -54,10 +54,6 @@ class Interval:
         return Interval(_down(v), _up(v))
 
     @staticmethod
-    def zero() -> "Interval":
-        return Interval(0.0, 0.0)
-
-    @staticmethod
     def from_fraction(value: Fraction) -> "Interval":
         v = float(value)
         # float() rounds to nearest; widen unless the conversion was exact
@@ -74,9 +70,6 @@ class Interval:
     @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
 
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -140,9 +133,6 @@ class Interval:
 
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __str__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"

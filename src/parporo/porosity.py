@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Iterator, Optional, Sequence
 
@@ -219,17 +218,14 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int,
     re-validation.  UNKNOWN runs count as non-free and are descended into.
 
     Which runs are tested does not depend on the order they are tested in.
-    A full walk takes them from a stack, each level's runs in frontier
-    order, a lower half before its upper half: it needs no order, and a
-    heap's pushes and pops cost it about a fifth more time.  With ``first_free`` the
-    walk takes them from a heap by the (temporal, spatial) index of their
-    first slab instead, and a half never comes before the run it halves,
-    so the first free run tested starts at the least free cell of its
-    level, and the caller stops there: that level's free runs start with
-    that run, and its non-free runs are the ones tested so far.  A model
-    that never answers UNKNOWN stops testing at that run; one that may
-    (``model.answers_unknown``) goes on until it sees an UNKNOWN verdict,
-    so the level's flag is the full walk's.
+    The walk takes them from a heap by the (temporal, spatial) index of
+    their first slab, and a half never comes before the run it halves, so
+    the first free run tested starts at the least free cell of its level.
+    With ``first_free`` the caller stops there: that level's free runs
+    start with that run, and its non-free runs are the ones tested so far.
+    A model that never answers UNKNOWN stops testing at that run; one that
+    may (``model.answers_unknown``) goes on until it sees an UNKNOWN
+    verdict, so the level's flag is the full walk's.
     """
     if depth_cap < 0:
         raise ValueError("depth_cap must be nonnegative")
@@ -247,14 +243,10 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int,
         unknown = False
         # the runs of a level are disjoint, so no two entries share a
         # (temporal, spatial) key and the heap never compares addresses
-        queue = [(addr.temporal, addr.spatial, addr, run) for addr, run in reversed(frontier)]
-        if first_free:
-            heapify(queue)
-            pop, push = partial(heappop, queue), partial(heappush, queue)
-        else:
-            pop, push = queue.pop, queue.append
+        queue = [(addr.temporal, addr.spatial, addr, run) for addr, run in frontier]
+        heapify(queue)
         while queue:
-            temporal, spatial, addr, run = pop()
+            temporal, spatial, addr, run = heappop(queue)
             state = _freeness(model, addr, run)
             if state is Freeness.EMPTY:
                 free.append((addr, run))
@@ -264,8 +256,8 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int,
             else:
                 half = run // 2
                 upper = temporal + half
-                push((upper, spatial, addr._with_temporal(upper), run - half))
-                push((temporal, spatial, addr, half))
+                heappush(queue, (upper, spatial, addr._with_temporal(upper), run - half))
+                heappush(queue, (temporal, spatial, addr, half))
             if first_free and free and (unknown or not drain):
                 break
         yield free, unknown, rest

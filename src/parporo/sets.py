@@ -1,15 +1,24 @@
 """Closed-set models with parabolic distance oracles and freeness tests.
 
-Every model is a nonempty closed subset of space-time with five queries:
+Every model is a nonempty closed subset of space-time.  It writes two
+queries and its JSON form (``to_json``):
 
 * ``meets_box(box)``            -- does E intersect the half-open box?
-* ``meets_run(addr, run)``      -- does E meet the run of ``run`` slabs of
-                                   ``addr``'s column from ``addr`` on?
-* ``distance(pt, p)``           -- certified bracket on dist_p(pt, E)
 * ``dist_box_gap_span(box, p)`` -- the float pair (inf over the box closure
                                    of dist_p(., E), an upper bound on its sup)
+
+The base class ``_RunAsBox`` derives the rest, and a model overrides one
+only where it answers better:
+
+* ``meets_run(addr, run)``      -- does E meet the run of ``run`` slabs of
+                                   ``addr``'s column from ``addr`` on?
+                                   ``meets_box`` on the run's box.
+* ``distance(pt, p)``           -- certified bracket on dist_p(pt, E): the
+                                   gap and span of the point as a box.
 * ``cell_weight(box, q, p)``    -- ``(lo, hi, diverged, lower_only)`` for the
-                                   integral of dist_p(., E)^(-q) over the box
+                                   integral of dist_p(., E)^(-q) over the box:
+                                   ``|box| dist^(-q)`` at the span and the gap.
+* ``time_invariant``, ``answers_unknown`` -- flags, both ``False``.
 
 This module is the only one that knows a model's geometry.
 
@@ -20,14 +29,14 @@ form the free search asks, and it is monotone in the same way: it answers
 every slab and sub-run of it.  The search relies on that when it tests a
 run of slabs once and calls every slab of a missed run free.  Point clouds
 answer it from the sorted times of the points in the run's column, found
-once per column, without building the box; the other models share the
-default, which tests the box.  Both read their faces from ``geometry``.
+once per column, without building the box; the other models take the
+default.  Both read their faces from ``geometry``.
 
-Each model class also declares ``time_invariant``: ``True`` when E is a
+A model class sets ``time_invariant`` to ``True`` when E is a
 product ``F x R`` (a spatial set crossed with the time axis), so that
 ``meets_box`` never reads the temporal bounds of its box.  The free search
 then never splits a run of slabs that E meets: every slab of it would get
-the same verdict.  It declares ``answers_unknown`` too: ``True`` when
+the same verdict.  It sets ``answers_unknown`` to ``True`` when
 ``meets_box`` or ``meets_run`` may answer ``UNKNOWN``.  A maximal-hole
 search stops at its hole on a model that never does; on one that may, it
 goes on testing the hole's level until it sees an ``UNKNOWN`` verdict, so
@@ -68,13 +77,6 @@ class Freeness(Enum):
     EMPTY = "empty"        # rect does not meet E (rect is E-free)
     NONEMPTY = "nonempty"  # rect meets E
     UNKNOWN = "unknown"    # undecided under the recursion cap
-
-
-class _RunAsBox:
-    """The default lattice-run query: ``meets_box`` on the run's float box."""
-
-    def meets_run(self, addr: DyadicAddress, run: int) -> Freeness:
-        return self.meets_box(addr.run_box(run))
 
 
 def parabolic_distance(a: Sequence[float], b: Sequence[float], p: float) -> float:
@@ -170,8 +172,27 @@ def _gap_span_weight(box: Box, q: float, inf_lo: float, sup_hi: float,
 # ---------------------------------------------------------------------------
 
 
+class _RunAsBox:
+    """The base of every model: the queries a model may leave out, each
+    derived from ``meets_box`` or ``dist_box_gap_span``."""
+
+    time_invariant = False
+    answers_unknown = False
+
+    def meets_run(self, addr: DyadicAddress, run: int) -> Freeness:
+        return self.meets_box(addr.run_box(run))
+
+    def distance(self, pt: Sequence[float], p: float) -> Interval:
+        """The gap and span of the point as a box."""
+        *x, t = pt
+        return Interval(*self.dist_box_gap_span((tuple(zip(x, x)), (t, t)), p))
+
+    def cell_weight(self, box: Box, q: float, p: float) -> CellWeight:
+        return _gap_span_weight(box, q, *self.dist_box_gap_span(box, p))
+
+
 @dataclass(frozen=True)
-class PointCloud:
+class PointCloud(_RunAsBox):
     """Finite set of space-time points.
 
     Distance queries take minima over the points: for at most 12 points in
@@ -191,9 +212,6 @@ class PointCloud:
     """
 
     points: tuple[Point, ...]
-
-    time_invariant = False
-    answers_unknown = False
 
     def __post_init__(self):
         if not self.points:
@@ -218,14 +236,6 @@ class PointCloud:
         object.__setattr__(self, "_columns", {})
         object.__setattr__(self, "_slabs", {})
         object.__setattr__(self, "_by_first_axis", None)
-
-    @property
-    def is_null(self) -> bool:
-        return True
-
-    def distance(self, pt: Sequence[float], p: float) -> Interval:
-        *x, t = (float(v) for v in pt)  # the least gap to pt as a box
-        return Interval.point(self._gap_span_summary((tuple(zip(x, x)), (t, t)), p)[0])
 
     def _gap_span_summary(self, box: Box, p: float
                           ) -> tuple[float, float, float, list[float]]:
@@ -409,9 +419,6 @@ class BoxUnion(_RunAsBox):
 
     boxes: tuple[Box, ...]
 
-    time_invariant = False
-    answers_unknown = False
-
     def __post_init__(self):
         if not self.boxes:
             raise ValueError("a closed-set model must be nonempty")
@@ -428,11 +435,6 @@ class BoxUnion(_RunAsBox):
     def is_null(self) -> bool:
         return all(any(lo == hi for lo, hi in bounds) or tlo == thi
                    for bounds, (tlo, thi) in self.boxes)
-
-    def distance(self, pt: Sequence[float], p: float) -> Interval:
-        *x, t = pt  # the least gap to pt as a box
-        box = tuple(zip(x, x)), (t, t)
-        return Interval.point(min(self._box_range_single(b, box, p)[0] for b in self.boxes))
 
     def _box_range_single(self, b: Box, box: Box, p: float) -> tuple[float, float]:
         (ebounds, (etlo, ethi)) = b
@@ -481,18 +483,6 @@ class HalfSpaceTime(_RunAsBox):
     t0: float
     future: bool = True
 
-    time_invariant = False
-    answers_unknown = False
-
-    @property
-    def is_null(self) -> bool:
-        return False
-
-    def distance(self, pt: Sequence[float], p: float) -> Interval:
-        t = pt[-1]
-        gap = max(0.0, self.t0 - t) if self.future else max(0.0, t - self.t0)
-        return Interval.point(gap ** (1.0 / p))
-
     def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
         _, (tlo, thi) = box
         inv = 1.0 / p
@@ -540,14 +530,6 @@ class SpatialHyperplane(_RunAsBox):
     value: float
 
     time_invariant = True
-    answers_unknown = False
-
-    @property
-    def is_null(self) -> bool:
-        return True
-
-    def distance(self, pt: Sequence[float], p: float) -> Interval:
-        return Interval.point(abs(pt[self.axis] - self.value))
 
     def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
         bounds, _ = box
@@ -642,11 +624,6 @@ class IFSFractal(_RunAsBox):
         object.__setattr__(self, "_fixed", tuple(s / (1.0 - m0.ratio) for s in m0.shift))
 
     @property
-    def is_null(self) -> bool:
-        # strictly contracting with at least spatial codimension in the product
-        return True
-
-    @property
     def n(self) -> int:
         return len(self.maps[0].shift)
 
@@ -682,9 +659,6 @@ class IFSFractal(_RunAsBox):
                         for child in self._children(ratio, shift)]
         return min(below, above), above
 
-    def distance(self, pt: Sequence[float], p: float) -> Interval:
-        return Interval(*self._inf_bracket(tuple((v, v) for v in pt[:-1])))
-
     def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:
         bounds, _ = box
         # sup: E lies in the root box, so no box point is farther from E than
@@ -695,8 +669,11 @@ class IFSFractal(_RunAsBox):
         # nor than at its center plus its reach: dist(., C) is 1-Lipschitz
         c = tuple(0.5 * (qlo + qhi) for qlo, qhi in bounds)
         reach = _up(max((_axis_span(*b, v) for b, v in zip(bounds, c)), default=0.0))
-        return (self._inf_bracket(bounds)[0],
-                min(sup_hi, _up(self._inf_bracket(tuple(zip(c, c)))[1] + reach)))
+        inf_lo, above = self._inf_bracket(bounds)
+        center = tuple(zip(c, c))
+        if center != bounds:  # a point box is its own center
+            above = self._inf_bracket(center)[1]
+        return inf_lo, min(sup_hi, _up(above + reach))
 
     def meets_box(self, box: Box) -> Freeness:
         bounds, _ = box
@@ -722,10 +699,6 @@ class IFSFractal(_RunAsBox):
                 continue
             stack += ((depth + 1, *child) for child in self._children(ratio, shift))
         return Freeness.UNKNOWN if depth_limited else Freeness.EMPTY
-
-    def cell_weight(self, box: Box, q: float, p: float) -> CellWeight:
-        # no singular closure yet: a cell that touches E is a lower bound
-        return _gap_span_weight(box, q, *self.dist_box_gap_span(box, p))
 
     def to_json(self) -> dict:
         from .serialize import number_str

@@ -18,7 +18,7 @@ from parporo.porosity import HoleResult
 from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal, PointCloud,
                           SpatialHyperplane, _axis_gap, _axis_span, _box_measure,
                           _box_probe_points, _pow_neg, _primitive_abs,
-                          rectangle_free)
+                          parabolic_distance, rectangle_free)
 from parporo.weights import IntegrationResult
 
 
@@ -256,14 +256,21 @@ def exact_sup(intervals, a, b):
     return max(exact_gap(intervals, x, x) for x in xs)
 
 
+def _nearest_point(closed_box, pt):
+    """The point of a closed space-time box nearest to ``pt`` on every axis."""
+    bounds, times = closed_box
+    return tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(pt, (*bounds, times)))
+
+
 def reference_dist_box_range(model, box, p):
     """Certified ``(inf, sup)`` brackets of dist_p(., E) over the box closure,
     worked out per model: closed forms for the half spaces and the
     hyperplane; for clouds and box unions the inf and the span, with the
-    farthest probe point as the sup's lower witness.  For a one-dimensional
-    IFS both are exact ``Fraction`` pairs from ``exact_cylinders``: the
-    distance to the cells (which cover E) below, the distance to the points
-    (which lie in E) above."""
+    farthest probe point as the sup's lower witness, its distance the least
+    metric distance to a point of the cloud or to the nearest point of a
+    box.  For a one-dimensional IFS both are exact ``Fraction`` pairs from
+    ``exact_cylinders``: the distance to the cells (which cover E) below,
+    the distance to the points (which lie in E) above."""
     bounds, (tlo, thi) = box
     inv = 1.0 / p
     if isinstance(model, IFSFractal):
@@ -281,12 +288,15 @@ def reference_dist_box_range(model, box, p):
         lo, hi = bounds[model.axis]
         return (Interval.point(_axis_gap(lo, hi, model.value)),
                 Interval.point(_axis_span(lo, hi, model.value)))
-    sup_lo = max(model.distance(pt, p).lo for pt in _box_probe_points(box))
     if isinstance(model, PointCloud):
         inf, sup_hi = _reference_gap_span(model, box, p)
+        sup_lo = max(min(parabolic_distance(pt, z, p) for z in model.points)
+                     for pt in _box_probe_points(box))
     else:
         singles = [model._box_range_single(b, box, p) for b in model.boxes]
         inf, sup_hi = min(s[0] for s in singles), min(s[1] for s in singles)
+        sup_lo = max(min(parabolic_distance(pt, _nearest_point(b, pt), p) for b in model.boxes)
+                     for pt in _box_probe_points(box))
     return Interval.point(inf), Interval(min(sup_lo, sup_hi), sup_hi)
 
 
@@ -373,7 +383,10 @@ def _reference_cell(model, box, spec):
         if hi is not None:
             return _Cell(box, Interval(min(lo, hi), hi), False, False)
         return _Cell(box, Interval(lo, math.inf), True, False)
-    if isinstance(model, BoxUnion) and not model.is_null:
+    if isinstance(model, BoxUnion) and not all(
+            any(lo == hi for lo, hi in ebounds) or etlo == ethi
+            for ebounds, (etlo, ethi) in model.boxes):
+        # a cell that touches a solid box meets E in positive measure
         return _Cell(box, Interval(lo, math.inf), True, False)
     return _Cell(box, Interval(lo, math.inf), False, True)
 

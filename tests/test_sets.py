@@ -43,6 +43,30 @@ def test_cloud_and_box_distances_are_the_least_metric_distance(n, size, p, data)
     assert boxes.distance(pt, p) == Interval.point(want)
 
 
+@given(x=st.floats(-4.0, 4.0), t=st.floats(-4.0, 4.0), value=QUARTERS,
+       p=st.sampled_from((2.0, 1.5, math.e, 1.1)))
+@example(x=0.125, t=-0.5, value=0.125, p=2.0)
+@settings(max_examples=300, deadline=None)
+def test_point_distances_are_the_closed_forms(x, t, value, p):
+    # a point's gap and span from the box bound equal the closed forms bit
+    # for bit; the IFS bracket holds the exact distance
+    pt = (x, t)
+    want = abs(x - value)
+    assert distance_to_set(pt, SpatialHyperplane(0, value), p) == Interval.point(want)
+    future = max(0.0, value - t) ** (1.0 / p)
+    past = max(0.0, t - value) ** (1.0 / p)
+    assert distance_to_set(pt, HalfSpaceTime(value, future=True), p) == Interval.point(future)
+    assert distance_to_set(pt, HalfSpaceTime(value, future=False), p) == Interval.point(past)
+    # E lies in the depth-10 cells and holds their ends, so off the cells
+    # the exact distance is the gap to them; on a cell it lies below the
+    # gap to the depth-10 points
+    e = Fraction(x)
+    below = exact_gap(CELLS, e, e)
+    above = below if below > 0 else exact_gap(POINTS, e, e)
+    d = distance_to_set(pt, CANTOR, p)
+    assert d.lo <= above + ROUNDING and d.hi >= below - ROUNDING
+
+
 def test_metric_examples():
     assert parabolic_distance((0.0, 0.0), (0.0, 0.0), 2.0) == 0.0
     assert parabolic_distance((1.0, 0.0), (0.0, -4.0), 2.0) == 2.0
@@ -209,13 +233,19 @@ def test_cantor_unknown_under_tiny_cap():
         assert rectangle_free(deep, sliver, p) is verdict
 
 
-def test_null_flags():
-    assert single_point(1).is_null
-    assert SpatialHyperplane(0, 0.0).is_null
-    assert cantor_times_time(2.0).is_null
-    assert not HalfSpaceTime(0.0).is_null
-    assert not BoxUnion(((((0.0, 1.0),), (0.0, 1.0)),)).is_null
-    assert BoxUnion(((((0.0, 0.0),), (0.0, 1.0)),)).is_null  # degenerate slab
+def test_box_union_cell_weight_diverges_on_solid_boxes_only():
+    # a cell that touches a solid box meets E in positive measure; one that
+    # touches a degenerate slab gets a lower bound only
+    cell = (((0.5, 1.5),), (0.5, 1.5))
+    solid = BoxUnion(((((0.0, 1.0),), (0.0, 1.0)),))
+    slab = BoxUnion(((((1.0, 1.0),), (0.0, 1.0)),))
+    assert solid.cell_weight(cell, 0.5, 2.0)[1:] == (math.inf, True, False)
+    assert slab.cell_weight(cell, 0.5, 2.0)[1:] == (math.inf, False, True)
+    # apart from E both are finite
+    far = (((3.0, 4.0),), (0.0, 1.0))
+    for model in (solid, slab):
+        lo, hi, diverged, lower_only = model.cell_weight(far, 0.5, 2.0)
+        assert 0.0 < lo <= hi < math.inf and not diverged and not lower_only
 
 
 def test_membership_frequency_of_null_models():
