@@ -151,9 +151,14 @@ def interval_sum(parts) -> Interval:
     Float sums depend on their order, so callers that need bit-identical
     output must pass ``parts`` in a fixed order.
     """
-    lo = 0.0
-    hi = 0.0
+    lo = hi = 0.0
+    nextafter, down, up = math.nextafter, -_INF, _INF
     for part_lo, part_hi in parts:
-        lo = _down(lo + part_lo)
-        hi = _up(hi + part_hi)
+        # _down and _up inlined: x - x == 0.0 exactly when x is finite
+        lo += part_lo
+        if lo - lo == 0.0:
+            lo = nextafter(lo, down)
+        hi += part_hi
+        if hi - hi == 0.0:
+            hi = nextafter(hi, up)
     return Interval(lo, hi)

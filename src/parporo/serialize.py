@@ -29,12 +29,19 @@ def number_str(x) -> str:
 
 
 def parse_number(s):
-    """Inverse of ``number_str``: fraction strings to Fraction, else float."""
+    """Inverse of ``number_str``: fraction strings to Fraction, else float.
+
+    Raises ``ValueError`` on text that is no number, a zero denominator
+    included.
+    """
     if isinstance(s, (int, float, Fraction)):
         return s
     text = str(s).strip()
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     if text == "inf":
         return math.inf
     if text == "-inf":

@@ -238,7 +238,7 @@ class PointCloud(_RunAsBox):
         object.__setattr__(self, "_by_first_axis", None)
 
     def _gap_span_summary(self, box: Box, p: float
-                          ) -> tuple[float, float, float, list[float]]:
+                          ) -> tuple[float, float, float, Sequence[float]]:
         """Over the points, with a point's gap and span the inf and an upper
         bound on the sup of its distance over the box closure: the least gap,
         the least span, the least positive gap (``inf`` when none), and the
@@ -262,7 +262,7 @@ class PointCloud(_RunAsBox):
             return (float(gaps.min()), float(spans.min()),
                     float(gaps[far].min(initial=math.inf)), spans[~far].tolist())
         inf_lo = sup_hi = far_gap = math.inf
-        near = []
+        near = ()  # a list from the first point at gap 0
         for zx, zt in self._split:
             # per axis the gap and the larger end distance (x - lo and hi - x
             # are |lo - x| and |hi - x| bit for bit), maxima over the axes
@@ -300,8 +300,10 @@ class PointCloud(_RunAsBox):
             if g > 0.0:
                 if g < far_gap:
                     far_gap = g
-            else:
+            elif near:
                 near.append(sp)
+            else:
+                near = [sp]
         return inf_lo, sup_hi, far_gap, near
 
     def dist_box_gap_span(self, box: Box, p: float) -> tuple[float, float]:

@@ -10,8 +10,8 @@ that touches the IFS attractor) the result is a flagged lower bound, never
 a silent guess; this module knows no model class.
 
 Cells travel through the refinement, and into the leaves' certified sum,
-as plain float pairs ``(lo, hi)`` that every cell bound checks for NaN and
-order; the only ``Interval`` of an integral is its total.
+as plain float pairs ``(lo, hi)``, checked for NaN and order as each cell is
+bounded; the only ``Interval`` of an integral is its total.
 """
 
 from __future__ import annotations
@@ -70,22 +70,6 @@ def _finite_box(rect: ParabolicRectangle, p: float) -> Box:
     return box
 
 
-def _bound_cell(model: ClosedSetModel, box: Box, spec: WeightSpec
-                ) -> tuple[float, float, bool, bool]:
-    """``(lo, hi, diverged, lower_only)`` for the integral over one cell,
-    as the model's ``cell_weight`` gives it.
-
-    Raises ``ValueError`` on a NaN endpoint or ``lo > hi``, as an
-    ``Interval`` would.
-    """
-    lo, hi, diverged, lower_only = model.cell_weight(box, spec.q, spec.p)
-    if not lo <= hi:
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval endpoints must not be NaN")
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    return lo, hi, diverged, lower_only
-
-
 # ---------------------------------------------------------------------------
 # adaptive integration
 # ---------------------------------------------------------------------------
@@ -98,20 +82,24 @@ def integrate_weight(model: ClosedSetModel, rect: ParabolicRectangle,
 
     Widest-contribution-first refinement with a deterministic tie order;
     stops when the bracket's relative width reaches ``tol`` or the cell
-    budget runs out (flagged via ``converged``).  Cells are bounded by
-    ``_bound_cell``; the heap holds ``(-width, counter, box, lo, hi)``, a
-    leaf is ``(tlo, bounds, index, lo, hi)`` with its index among the
-    settled cells and then the heap's, so a plain sort keeps ties in that
-    order, and the certified sum runs over the leaves' ``(lo, hi)``.
+    budget runs out (flagged via ``converged``).  Each cell takes one
+    ``model.cell_weight`` call, refused on a NaN or ``lo > hi`` as an
+    ``Interval`` would be.  The heap holds ``(-width, counter, bounds,
+    (tlo, thi), lo, hi)``; a leaf is ``(tlo, x0, bounds, index, lo, hi)``:
+    ``x0``, the first lower face, settles ``tlo`` ties fast and keeps the
+    order, as ``bounds`` starts with it; ``index`` runs over the settled
+    cells and then the heap's.  Both have six items, so a leaf reuses its
+    heap entry's memory.  The certified sum runs over the sorted leaves.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
 
-    p = spec.p
-    # read once per call: the tracer patches the module's _bound_cell
-    bound_cell, split, push, pop = _bound_cell, _split_box, heapq.heappush, heapq.heappop
-    heap: list[tuple[float, int, Box, float, float]] = []
-    settled: list[tuple[float, AxisBounds, int, float, float]] = []
+    p, q = spec.p, spec.q
+    cell_weight, split, push, pop = model.cell_weight, _split_box, heapq.heappush, heapq.heappop
+    inf, isnan, isfinite = math.inf, math.isnan, math.isfinite
+    stop = 0.9 * tol
+    heap: list[tuple[float, int, AxisBounds, tuple[float, float], float, float]] = []
+    settled: list[tuple[float, float, AxisBounds, int, float, float]] = []
     counter = 0
     diverged = lower_only = False
     # running endpoint sums steer the refinement; the certified bracket is
@@ -121,35 +109,47 @@ def integrate_weight(model: ClosedSetModel, rect: ParabolicRectangle,
     processed = 0
     while True:
         for box in pending:
-            lo, hi, cell_diverged, cell_lower_only = bound_cell(model, box, spec)
-            diverged |= cell_diverged
-            lower_only |= cell_lower_only
+            lo, hi, cell_diverged, cell_lower_only = cell_weight(box, q, p)
+            if not lo <= hi:
+                if isnan(lo) or isnan(hi):
+                    raise ValueError("interval endpoints must not be NaN")
+                raise ValueError(f"empty interval [{lo}, {hi}]")
             run_lo += lo
             run_hi += hi
             width = hi - lo
-            if cell_diverged or cell_lower_only or not 0.0 < width < math.inf:
-                settled.append((box[1][0], box[0], len(settled), lo, hi))
+            bounds, span = box
+            if cell_diverged or cell_lower_only or not 0.0 < width < inf:
+                # only settled cells carry a flag
+                diverged |= cell_diverged
+                lower_only |= cell_lower_only
+                tlo = span[0]
+                settled.append((tlo, bounds[0][0] if bounds else tlo, bounds,
+                                len(settled), lo, hi))
             else:
-                push(heap, (-width, counter, box, lo, hi))
+                push(heap, (-width, counter, bounds, span, lo, hi))
             counter += 1
         if not heap or processed >= max_cells:
             break
-        scale = max(abs(run_lo + run_hi) * 0.5, 1e-300)
-        if math.isfinite(run_hi) and run_hi - run_lo <= 0.9 * tol * scale:
+        # max(|run_lo + run_hi| / 2, 1e-300), NaN kept as max keeps it
+        scale = abs(run_lo + run_hi) * 0.5
+        if scale < 1e-300:
+            scale = 1e-300
+        if isfinite(run_hi) and run_hi - run_lo <= stop * scale:
             break
-        _, _, box, lo, hi = pop(heap)
+        _, _, bounds, span, lo, hi = pop(heap)
         run_lo -= lo
         run_hi -= hi
-        pending = split(box, p)
+        pending = split((bounds, span), p)
         processed += 1
 
     # the heap's cells become leaves one by one, so both are never held
     leaves, base = settled, len(settled)
     while heap:
-        _, _, box, lo, hi = heap.pop()
-        leaves.append((box[1][0], box[0], base + len(heap), lo, hi))
+        _, _, bounds, (tlo, _), lo, hi = heap.pop()
+        leaves.append((tlo, bounds[0][0] if bounds else tlo, bounds, base + len(heap),
+                       lo, hi))
     leaves.sort()
-    total = interval_sum((lo, hi) for _, _, _, lo, hi in leaves)
+    total = interval_sum((lo, hi) for _, _, _, _, lo, hi in leaves)
     scale = max(abs(total.mid), 1e-300)
     converged = math.isfinite(total.hi) and total.width <= tol * scale
     return IntegrationResult(value=total, converged=converged,

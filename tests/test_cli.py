@@ -178,6 +178,18 @@ def test_error_missing_set(capsys):
     assert "--set" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--set", POINT, "--tol", "1/0"), ("--set", POINT, "--side", "1/0"),
+    ("--set", POINT, "--center", "1/0"), ("--set", POINT, "--p", "3/0"),
+    ("--set", json.dumps({"type": "points", "coords": [["3/0", "0"]]})),
+])
+def test_error_zero_denominator(capsys, argv):
+    code, out, err = run_cli(capsys, "a1", "--samples", "1", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("parporo: error:") and "zero denominator" in err
+    assert "Traceback" not in err
+
+
 def test_inconclusive_exit_code(capsys):
     # cap 0 cannot certify any hole for a set meeting the root
     code, out, _ = run_cli(capsys, "maxhole", "--set", HYPERPLANE, "--cap", "0")

@@ -1,6 +1,8 @@
 import math
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,12 +10,16 @@ from parporo.serialize import number_str, parse_number
 
 
 def parse_by_int_first(s):
-    """``parse_number`` as it was before decimal text skipped ``int()``."""
+    """``parse_number`` as it was before decimal text skipped ``int()``,
+    with a zero denominator a ``ValueError``."""
     if isinstance(s, (int, float, Fraction)):
         return s
     text = str(s).strip()
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(text) from None
     if text == "inf":
         return math.inf
     if text == "-inf":
@@ -27,7 +33,7 @@ def parse_by_int_first(s):
 def outcome(parse, text):
     try:
         value = parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return type(exc)
     # nan equals no value, itself included
     return type(value), "nan" if value != value else value
@@ -60,3 +66,9 @@ def test_parse_number_answers_as_the_int_first_parse(sign, body, before, after):
 @given(st.one_of(st.integers(), st.floats(allow_nan=False), st.fractions()))
 def test_parse_number_inverts_number_str(x):
     assert parse_number(number_str(x)) == x
+
+
+@pytest.mark.parametrize("text", ["1/0", "3/0", " -2/0 ", "0/0"])
+def test_parse_number_refuses_a_zero_denominator(text):
+    with pytest.raises(ValueError, match=re.escape(repr(text.strip()))):
+        parse_number(text)

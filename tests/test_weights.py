@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parporo import weights
 from parporo.geometry import ParabolicRectangle, Root, new_geometry, translate
 from parporo.sampling import SamplerConfig, draw_roots
 from parporo.sets import (BoxUnion, HalfSpaceTime, PointCloud, SpatialHyperplane,
@@ -281,7 +280,19 @@ def diverging_cloud_case(size, n, p, q):
             WeightSpec(beta=q / (n + p), n=n, p=p), 1e-2, 40)
 
 
+def a1_point_case(center, top, side, gamma, max_cells=20000):
+    """The benchmark's a1 integrals: the point (0, -1/2), beta = 0.1, p = 2
+    and tol = 1e-2 over a root's rectangle, thousands of cells deep."""
+    return (single_point(1, at=(0.0, -0.5)),
+            ParabolicRectangle((center,), top, side, gamma=gamma),
+            WeightSpec(beta=0.1, n=1, p=2.0), 1e-2, max_cells)
+
+
 @given(case=weight_cases())
+@example(case=a1_point_case(-0.0625, -0.375, 0.5, 0.25))   # 8,698 leaves
+@example(case=a1_point_case(0.0, 0.0, 1.5, 0.0))           # 4,617 leaves
+# the budget runs out, as on one root of CLI seed 2 at 20,000 cells
+@example(case=a1_point_case(1.3125, 0.875, 1.5, 0.25, max_cells=2000))
 @example(case=diverging_cloud_case(1, 1, 2.0, 3.0))
 @example(case=diverging_cloud_case(12, 2, 1.5, 4.0))
 @example(case=diverging_cloud_case(13, 1, 1.5, 4.0))
@@ -313,31 +324,23 @@ def test_split_box_matches_the_reference_split(n, data, p):
     assert repr(got) == repr(want)
 
 
-def test_bound_cell_is_called_through_the_module_global(monkeypatch):
-    # the benchmark's tracer wraps weights._bound_cell by name: every bound
-    # cell must reach it, the root once and each split cell's two halves
-    inner = weights._bound_cell
-    calls = 0
+class _StubModel:
+    """A model whose every cell bound is the given bracket."""
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return inner(*args)
+    def __init__(self, lo, hi):
+        self.bracket = (lo, hi, False, False)
 
-    monkeypatch.setattr(weights, "_bound_cell", counting)
-    cloud = PointCloud(((0.1, -0.3), (-0.2, -0.6), (0.4, -0.1)))
-    res = integrate_weight(cloud, unit_rect(), SPEC, tol=1e-3, max_cells=500)
-    assert res.cells > 1
-    assert calls == 2 * res.cells - 1
+    def cell_weight(self, box, q, p):
+        return self.bracket
 
 
-def test_bound_cell_rejects_nan_and_empty_brackets():
-    far = single_point(1, at=(5.0, 0.0))
+def test_integrator_rejects_nan_and_empty_cell_brackets():
     with pytest.raises(ValueError, match="NaN"):
-        weights._bound_cell(far, (((math.nan, 1.0),), (-1.0, 0.0)), SPEC)
-    # a reversed time face makes the measure negative, so lo > hi
-    with pytest.raises(ValueError, match="empty interval"):
-        weights._bound_cell(far, (((0.0, 1.0),), (0.0, -1.0)), SPEC)
+        integrate_weight(_StubModel(math.nan, 1.0), unit_rect(), SPEC)
+    with pytest.raises(ValueError, match="NaN"):
+        integrate_weight(_StubModel(0.0, math.nan), unit_rect(), SPEC)
+    with pytest.raises(ValueError, match=r"empty interval \[2.0, 1.0\]"):
+        integrate_weight(_StubModel(2.0, 1.0), unit_rect(), SPEC)
 
 
 @pytest.mark.parametrize("center,top", [((math.nan,), 0.0), ((math.nan,), math.nan),
