@@ -139,9 +139,6 @@ class StoppingPartition:
     def max_index(self) -> int:
         return max(self.groups, default=0)
 
-    def members(self, k: int) -> tuple[DyadicAddress, ...]:
-        return self.groups.get(k, ())
-
 
 def _union_measure(members: Sequence[DyadicAddress]) -> Fraction:
     """Measure of the union: by nestedness only maximal members contribute."""

@@ -391,10 +391,6 @@ class Root:
 
     # -- root body ----------------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return self.geom.n
-
     def l_t_fraction_of(self, level: int) -> Fraction:
         """l_t at ``level`` in units of l_t(root), exact."""
         return Fraction(1, self.slab_count(level))
@@ -456,7 +452,7 @@ class Root:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyadicAddress:
     """Exact handle for a rectangle in the extended lattice of a root.
 
@@ -464,6 +460,13 @@ class DyadicAddress:
     (so it lies in ``[0, 2^(d*level))``); ``temporal`` counts level slabs
     from the root's lower face and may be any integer (the lattice extends
     over the whole time strip).
+
+    ``DyadicAddress(...)`` validates the level and the spatial indices, and
+    every address built from outside goes through it.  Navigation
+    (``spatial_children``, ``parent``, ``ancestor``, translations) derives
+    addresses from a valid one through ``_derived``, which fills the slots
+    without validating: indices derived from valid ones are in range by
+    construction.  Both give equal, equally hashed addresses of this type.
     """
 
     root: Root
@@ -499,23 +502,21 @@ class DyadicAddress:
     def spatial_children(self) -> list["DyadicAddress"]:
         """One level+1 cell per spatial child, in ``children()`` order, each
         at the first child slab (temporal index ``temporal * k``)."""
-        split = 1 << self.root.geom.d
-        t_first = self.temporal * self.root.k_at(self.level)
+        root, level = self.root, self.level + 1
+        split = 1 << root.geom.d
+        t_first = self.temporal * root.k_at(self.level)
         bases = tuple(s * split for s in self.spatial)
-        return [DyadicAddress(self.root, self.level + 1,
-                              tuple(b + o for b, o in zip(bases, combo)), t_first)
-                for combo in itertools.product(range(split), repeat=self.root.geom.n)]
+        return [_derived(root, level, tuple(b + o for b, o in zip(bases, combo)), t_first)
+                for combo in itertools.product(range(split), repeat=len(bases))]
 
     def parent(self) -> "DyadicAddress":
         if self.level == 0:
             raise ValueError("level-0 rectangle has no parent")
         d = self.root.geom.d
         k = self.root.k_at(self.level - 1)
-        return DyadicAddress(
-            self.root, self.level - 1,
-            tuple(s >> d for s in self.spatial),
-            self.temporal // k,  # floor division: valid across the whole strip
-        )
+        return _derived(self.root, self.level - 1,
+                        tuple(s >> d for s in self.spatial),
+                        self.temporal // k)  # floor division: valid across the whole strip
 
     def forward_parent(self, params: StoppingParams) -> "DyadicAddress":
         """Dyadic parent translated ``theta0`` parent slabs forward in time."""
@@ -527,14 +528,14 @@ class DyadicAddress:
             raise ValueError("ancestor level exceeds address level")
         if level == self.level:
             return self
+        if level < 0:
+            raise ValueError("level must be nonnegative")
         d = self.root.geom.d
         shift = d * (self.level - level)
         ratio = self.root.slab_count(self.level) // self.root.slab_count(level)
-        return DyadicAddress(
-            self.root, level,
-            tuple(s >> shift for s in self.spatial),
-            self.temporal // ratio,
-        )
+        return _derived(self.root, level,
+                        tuple(s >> shift for s in self.spatial),
+                        self.temporal // ratio)
 
     def translated(self, theta: int) -> "DyadicAddress":
         """Integer time translation by ``theta`` OWN temporal side lengths."""
@@ -543,16 +544,9 @@ class DyadicAddress:
         return self._with_temporal(self.temporal + int(theta))
 
     def _with_temporal(self, temporal: int) -> "DyadicAddress":
-        """The cell of this spatial column at slab ``temporal``, built without
-        ``__post_init__``: this address is valid, and only the temporal
-        index changes, which may be any integer."""
-        new = object.__new__(DyadicAddress)
-        fields = new.__dict__
-        fields["root"] = self.root
-        fields["level"] = self.level
-        fields["spatial"] = self.spatial
-        fields["temporal"] = temporal
-        return new
+        """The cell of this spatial column at slab ``temporal``, which may be
+        any integer."""
+        return _derived(self.root, self.level, self.spatial, temporal)
 
     # -- relations -------------------------------------------------------------
 
@@ -634,6 +628,24 @@ class DyadicAddress:
 
     def __repr__(self) -> str:
         return f"Addr(level={self.level}, spatial={self.spatial}, temporal={self.temporal})"
+
+
+_new_address = object.__new__
+_set_root, _set_level, _set_spatial, _set_temporal = (
+    DyadicAddress.root.__set__, DyadicAddress.level.__set__,
+    DyadicAddress.spatial.__set__, DyadicAddress.temporal.__set__)
+
+
+def _derived(root: Root, level: int, spatial: tuple[int, ...],
+             temporal: int) -> DyadicAddress:
+    """The trusted constructor: an address derived from a valid one, its
+    slots filled through their descriptors without ``__post_init__``."""
+    new = _new_address(DyadicAddress)
+    _set_root(new, root)
+    _set_level(new, level)
+    _set_spatial(new, spatial)
+    _set_temporal(new, temporal)
+    return new
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,6 @@ class Interval:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other: "Interval | float") -> "Interval":
-        return self + (-_coerce(other))
-
     def __mul__(self, other: "Interval | float") -> "Interval":
         o = _coerce(other)
         products = (

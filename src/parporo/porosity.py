@@ -203,7 +203,7 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int,
                               list[tuple[DyadicAddress, int]]]]:
     """Per level down to ``depth_cap`` below ``root_addr``: the free runs,
     whether a verdict was UNKNOWN, and the non-free runs, whose spatial
-    children are built only when the next level is asked for.
+    children are built only when the next level reaches them.
 
     A run ``(addr, m)`` is the ``m`` slabs of ``addr``'s spatial column from
     ``addr`` on; the root is ``(root_addr, 1)``, and a spatial child of
@@ -226,27 +226,39 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int,
     A model that never answers UNKNOWN stops testing at that run; one that
     may (``model.answers_unknown``) goes on until it sees an UNKNOWN
     verdict, so the level's flag is the full walk's.
+
+    Children are built only when the walk reaches them.  A non-free run of
+    the level above goes on the heap once, keyed at its first child's
+    ``(temporal * k, spatial * 2^d)``, the least key of its children; when
+    it comes off the heap, its spatial children take its place.  The heap
+    therefore pops runs in the order of a heap filled with every child (at
+    n >= 2 the children of neighbouring parents interleave, and the heap
+    sorts them), and a search that stops early never builds the children
+    of parents it did not reach.  Invariant: keys are unique within a
+    level.  The runs of a level are disjoint, a halved run's halves start
+    at distinct slabs, and a parent shares its key only with its first
+    child, which is pushed after the parent left the heap; so the heap
+    never compares addresses.
     """
     if depth_cap < 0:
         raise ValueError("depth_cap must be nonnegative")
     invariant = model.time_invariant
     drain = model.answers_unknown
     root = root_addr.root
-    frontier = [(root_addr, 1)]
+    split = 1 << root.geom.d
+    # heap entries: (temporal, spatial, address, slab count, expand), where
+    # an entry to expand is a parent keyed at its first child
+    queue = [(root_addr.temporal, root_addr.spatial, root_addr, 1, False)]
     for rel in range(depth_cap + 1):
-        if rel:
-            k = root.k_at(root_addr.level + rel - 1)
-            frontier = [(child, run * k) for addr, run in frontier
-                        for child in addr.spatial_children()]
         free: list[tuple[DyadicAddress, int]] = []
         rest: list[tuple[DyadicAddress, int]] = []
         unknown = False
-        # the runs of a level are disjoint, so no two entries share a
-        # (temporal, spatial) key and the heap never compares addresses
-        queue = [(addr.temporal, addr.spatial, addr, run) for addr, run in frontier]
-        heapify(queue)
         while queue:
-            temporal, spatial, addr, run = heappop(queue)
+            temporal, spatial, addr, run, expand = heappop(queue)
+            if expand:
+                for child in addr.spatial_children():
+                    heappush(queue, (temporal, child.spatial, child, run, False))
+                continue
             state = _freeness(model, addr, run)
             if state is Freeness.EMPTY:
                 free.append((addr, run))
@@ -256,12 +268,17 @@ def _walk(model: ClosedSetModel, root_addr: DyadicAddress, depth_cap: int,
             else:
                 half = run // 2
                 upper = temporal + half
-                heappush(queue, (upper, spatial, addr._with_temporal(upper), run - half))
-                heappush(queue, (temporal, spatial, addr, half))
+                heappush(queue, (upper, spatial, addr._with_temporal(upper), run - half,
+                                 False))
+                heappush(queue, (temporal, spatial, addr, half, False))
             if first_free and free and (unknown or not drain):
                 break
         yield free, unknown, rest
-        frontier = rest
+        if rel < depth_cap:
+            k = root.k_at(root_addr.level + rel)
+            queue = [(addr.temporal * k, tuple(s * split for s in addr.spatial), addr,
+                      run * k, True) for addr, run in rest]
+            heapify(queue)
 
 
 def maximal_hole(model: ClosedSetModel, root_addr: DyadicAddress,

@@ -54,5 +54,15 @@ def parse_number(s):
         return float(text)
 
 
+def parse_float(s) -> float:
+    """``float(parse_number(s))``.  Decimal text, a ``.`` and no ``/``, goes
+    straight to ``float``, which reads it as ``parse_number`` does; other
+    text keeps its meaning there (``"-0"`` is the integer 0, so ``+0.0``).
+    """
+    if type(s) is str and "." in s and "/" not in s:
+        return float(s)
+    return float(parse_number(s))
+
+
 def interval_json(iv) -> list[str]:
     return [number_str(iv.lo), number_str(iv.hi)]

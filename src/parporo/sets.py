@@ -856,25 +856,25 @@ def set_to_json(model: ClosedSetModel, p: Optional[float] = None) -> dict:
 
 
 def set_from_json(obj: dict) -> tuple[ClosedSetModel, Optional[float]]:
-    from .serialize import parse_number
+    from .serialize import parse_float, parse_number
     kind = obj.get("type")
     p = parse_number(obj["p"]) if "p" in obj else None
     if kind == "points":
-        pts = tuple(tuple(float(parse_number(c)) for c in row) for row in obj["coords"])
+        pts = tuple(tuple(parse_float(c) for c in row) for row in obj["coords"])
         return PointCloud(pts), p
     if kind == "boxes":
         boxes = []
         for b in obj["boxes"]:
-            bounds = tuple((float(parse_number(lo)), float(parse_number(hi)))
+            bounds = tuple((parse_float(lo), parse_float(hi))
                            for lo, hi in b["spatial"])
-            tlo, thi = (float(parse_number(v)) for v in b["temporal"])
+            tlo, thi = (parse_float(v) for v in b["temporal"])
             boxes.append((bounds, (tlo, thi)))
         return BoxUnion(tuple(boxes)), p
     if kind == "halfspace":
-        return HalfSpaceTime(float(parse_number(obj["t0"])),
+        return HalfSpaceTime(parse_float(obj["t0"]),
                              obj.get("direction", "future") == "future"), p
     if kind == "hyperplane":
-        return SpatialHyperplane(int(obj["axis"]), float(parse_number(obj["value"]))), p
+        return SpatialHyperplane(int(obj["axis"]), parse_float(obj["value"])), p
     if kind == "ifs":
         # the model is a spatial attractor crossed with the time axis; older
         # definitions spell that out as "spatial_only": true and "t_shift": 0
@@ -884,8 +884,8 @@ def set_from_json(obj: dict) -> tuple[ClosedSetModel, Optional[float]]:
         if any(parse_number(m.get("t_shift", 0)) != 0 for m in obj["maps"]):
             raise ValueError("an IFS set is a spatial attractor crossed with time: "
                              "t_shift must be 0")
-        maps = tuple(IFSMap(float(parse_number(m["ratio"])),
-                            tuple(float(parse_number(s)) for s in m["shift"]))
+        maps = tuple(IFSMap(parse_float(m["ratio"]),
+                            tuple(parse_float(s) for s in m["shift"]))
                      for m in obj["maps"])
         return IFSFractal(maps, float(p if p is not None else 2.0),
                           int(obj.get("depth_cap", 24))), p

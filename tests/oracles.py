@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from parporo.geometry import ParabolicRectangle
+from parporo import porosity
+from parporo.geometry import DyadicAddress, ParabolicRectangle
 from parporo.intervals import Interval, interval_sum
 from parporo.porosity import HoleResult
 from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, IFSFractal, PointCloud,
@@ -106,6 +107,42 @@ def reference_walk(model, root_addr, depth_cap):
                 unknown |= state is Freeness.UNKNOWN
                 rest.append(addr)
         free.sort(key=lambda a: (a.temporal, a.spatial))
+        yield free, unknown, rest
+        frontier = rest
+
+
+def reference_run_walk(model, root_addr, depth_cap, first_free=False):
+    """``porosity._walk`` with every level's frontier built in full: each
+    non-free run's spatial children are made before the level's heap runs.
+    Runs are tested through ``porosity._freeness`` in the same
+    (temporal, spatial) order and with the same stop."""
+    root = root_addr.root
+    frontier = [(root_addr, 1)]
+    for rel in range(depth_cap + 1):
+        if rel:
+            k = root.k_at(root_addr.level + rel - 1)
+            frontier = [(child, run * k) for addr, run in frontier
+                        for child in addr.spatial_children()]
+        free, rest, unknown = [], [], False
+        queue = [(addr.temporal, addr.spatial, addr, run) for addr, run in frontier]
+        heapq.heapify(queue)
+        while queue:
+            temporal, spatial, addr, run = heapq.heappop(queue)
+            state = porosity._freeness(model, addr, run)
+            if state is Freeness.EMPTY:
+                free.append((addr, run))
+            elif model.time_invariant or run == 1:
+                unknown |= state is Freeness.UNKNOWN
+                rest.append((addr, run))
+            else:
+                half = run // 2
+                upper = temporal + half
+                heapq.heappush(queue, (upper, spatial,
+                                       DyadicAddress(root, addr.level, spatial, upper),
+                                       run - half))
+                heapq.heappush(queue, (temporal, spatial, addr, half))
+            if first_free and free and (unknown or not model.answers_unknown):
+                break
         yield free, unknown, rest
         frontier = rest
 

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -119,6 +121,9 @@ def test_children_partition_parent_exactly(unit_root):
 def test_parent_requires_positive_level(unit_root):
     with pytest.raises(ValueError):
         unit_root.address().parent()
+    # navigation skips validation, yet refuses a negative ancestor level
+    with pytest.raises(ValueError):
+        unit_root.address(1, (2,), 3).ancestor(-1)
 
 
 def test_forward_parent_is_translated_parent(unit_root):
@@ -445,37 +450,93 @@ def test_realize_on_warm_root_enters_no_mpmath(monkeypatch):
     assert entered == []
 
 
-@given(level=st.integers(0, 3), data=st.data(), shift=st.integers(-300, 300))
+# n = 3 at p = 2 keeps a cell's 64 spatial children and 16 slabs small
+NAVIGATION_ROOTS = {
+    n: Root(new_geometry(n, 1.5 if n < 3 else 2.0),
+            (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2))[:n], Fraction(3, 7),
+            Fraction(3, 7), Fraction(1, 8))
+    for n in (1, 2, 3)}
+
+
+def _assert_same_address(got, want):
+    assert type(got) is DyadicAddress
+    assert got == want and want == got
+    assert got.key() == want.key()
+    assert hash(got) == hash(want)
+    assert got.root is want.root
+
+
+@given(n=st.sampled_from((1, 2, 3)), level=st.integers(0, 3), data=st.data(),
+       shift=st.integers(-300, 300))
 @settings(max_examples=200, deadline=None)
-def test_derived_addresses_equal_validated_ones(level, data, shift):
-    # the searches move a validated address in time without re-validating
-    # it; the result must be the address the validated constructor builds
-    geom = new_geometry(2, 1.5)
-    root = Root(geom, (Fraction(1, 3), Fraction(-2, 7)), Fraction(3, 7), Fraction(3, 7),
-                Fraction(1, 8))
+def test_derived_addresses_equal_validated_ones(n, level, data, shift):
+    # navigation derives addresses from a valid one without re-validating
+    # them; each must be the address the validated constructor builds
+    root = NAVIGATION_ROOTS[n]
+    geom = root.geom
     cells = 1 << (geom.d * level)
-    spatial = tuple(data.draw(st.integers(0, cells - 1)) for _ in range(2))
+    spatial = tuple(data.draw(st.integers(0, cells - 1)) for _ in range(n))
     addr = root.address(level, spatial, data.draw(st.integers(-50, 50)))
     validated = DyadicAddress(root, level, spatial, addr.temporal + shift)
-    params = StoppingParams(4, 2, geom.k_ceil - 1)
-    derived = [addr._with_temporal(addr.temporal + shift), addr.translated(shift)]
-    for got in derived:
-        assert type(got) is DyadicAddress
-        assert got == validated and validated == got
-        assert got.key() == validated.key()
-        assert hash(got) == hash(validated)
-        assert got.root is root and got.run_box(2) == validated.run_box(2)
-    # children are moved through their slabs from the validated spatial
-    # children: element by element and in order, the validated cells
+    for got in (addr._with_temporal(addr.temporal + shift), addr.translated(shift)):
+        _assert_same_address(got, validated)
+        assert got.run_box(2) == validated.run_box(2)
+    # spatial children, in order, at the first child slab; children are
+    # moved through their slabs from them
     k, split = root.k_at(level), 1 << geom.d
-    want = [DyadicAddress(root, level + 1, (spatial[0] * split + a, spatial[1] * split + b),
-                          addr.temporal * k + j)
-            for a in range(split) for b in range(split) for j in range(k)]
-    kids = addr.children()
-    assert kids == want
-    assert [(type(kid), hash(kid)) for kid in kids] == [(DyadicAddress, hash(w)) for w in want]
-    if level:
-        up = addr.parent()
-        want = DyadicAddress(root, level - 1, up.spatial, up.temporal + params.theta0)
-        assert addr.forward_parent(params) == want
-        assert hash(addr.forward_parent(params)) == hash(want)
+    offsets = list(itertools.product(range(split), repeat=n))
+    want = [DyadicAddress(root, level + 1, tuple(s * split + o for s, o in zip(spatial, off)),
+                          addr.temporal * k) for off in offsets]
+    kids = addr.spatial_children()
+    assert len(kids) == len(want)
+    for got, w in zip(kids, want):
+        _assert_same_address(got, w)
+    if n < 3:
+        full = addr.children()
+        assert len(full) == len(want) * k
+        for i, got in enumerate(full):
+            w = want[i // k]
+            _assert_same_address(got, DyadicAddress(root, level + 1, w.spatial,
+                                                    w.temporal + i % k))
+    # ancestors at every level, the parent and the forward parent
+    for up in range(level + 1):
+        ratio = root.slab_count(level) // root.slab_count(up)
+        want = DyadicAddress(root, up, tuple(s >> (geom.d * (level - up)) for s in spatial),
+                             addr.temporal // ratio)
+        _assert_same_address(addr.ancestor(up), want)
+        if up == level - 1:
+            _assert_same_address(addr.parent(), want)
+            params = StoppingParams(4, 2, geom.k_ceil - 1)
+            _assert_same_address(addr.forward_parent(params),
+                                 DyadicAddress(root, up, want.spatial,
+                                               want.temporal + params.theta0))
+
+
+def test_derived_addresses_carry_no_dict():
+    root = NAVIGATION_ROOTS[1]
+    addr = root.address(2, (5,), 3)
+    params = StoppingParams(4, 2, root.geom.k_ceil - 1)
+    for got in (addr, addr.translated(1), addr.parent(), addr.ancestor(0),
+                addr.forward_parent(params), addr.spatial_children()[-1],
+                addr.children()[-1]):
+        assert not hasattr(got, "__dict__")
+
+    def traced_bytes(build):
+        """Least traced growth over three builds of 10,000 addresses kept."""
+        sizes = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = build()
+                assert len(kept) == 10_000
+                sizes.append(tracemalloc.get_traced_memory()[0] - before)
+            finally:
+                tracemalloc.stop()
+        return min(sizes)
+
+    derived = traced_bytes(lambda: [addr._with_temporal(t) for t in range(10_000)])
+    validated = traced_bytes(lambda: [DyadicAddress(root, 2, (5,), t) for t in range(10_000)])
+    # up to a kilobyte of interpreter bookkeeping varies from build to
+    # build; an instance dict per address would add about 640 kB
+    assert derived <= validated + 1024

@@ -23,7 +23,7 @@ from parporo.sets import (BoxUnion, Freeness, HalfSpaceTime, PointCloud,
 
 
 from oracles import (brute_force_hole, brute_force_maximal_free, reference_maximal_free,
-                     reference_maximal_hole)
+                     reference_maximal_hole, reference_run_walk)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -351,9 +351,14 @@ def test_stopping_report_freeness_tests(monkeypatch, capsys):
     # the layered stopping report: one hole search per address, the root
     # translate's included, each stopping at its hole, and one admissible
     # search of the root, which walks all its levels
-    tested, _expanded, _columns, _runs = _count_search_work(monkeypatch)
-    holes = []
+    tested, _expanded, columns, _runs = _count_search_work(monkeypatch)
+    holes, validated = [], []
     real_hole = porosity.maximal_hole
+    real_validation = DyadicAddress.__post_init__
+
+    def counting_validation(addr):
+        validated.append(addr.key())
+        real_validation(addr)
 
     def counting_hole(model, addr, depth_cap):
         start = len(tested)
@@ -362,6 +367,7 @@ def test_stopping_report_freeness_tests(monkeypatch, capsys):
         return hole
 
     monkeypatch.setattr(chains, "maximal_hole", counting_hole)
+    monkeypatch.setattr(DyadicAddress, "__post_init__", counting_validation)
     monkeypatch.chdir(REPO)
     assert run(["stopping", "--set", "fixtures/layered.json", "--delta", "1/64",
                 "--cap", "3"]) == 0
@@ -369,6 +375,10 @@ def test_stopping_report_freeness_tests(monkeypatch, capsys):
     assert len(holes) == len({key for key, _count in holes}) == 115
     assert sum(count for _key, count in holes) == 4437
     assert len(tested) == 6180
+    # children are built only for the parents a search reaches, and only
+    # the root address is validated: every other one is derived from it
+    assert len(columns) == 134
+    assert validated == [(0, (0,), 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +622,69 @@ def test_maximal_hole_is_the_least_free_cell_of_the_full_walk(case):
     assert (hole.address, hole.measure, hole.side) == (ref.address, ref.measure, ref.side)
     assert (hole.depth_cap_hit, hole.unknown_present) == \
         (ref.depth_cap_hit, ref.unknown_present)
+
+
+WALK_ROOTS = {(n, p): Root(new_geometry(n, p), (Fraction(1, 3), Fraction(-2, 7))[:n],
+                           Fraction(3, 7), Fraction(1), Fraction(1, 8))
+              for n, p in ((1, 2.0), (1, 1.5), (2, 2.0))}
+
+
+@st.composite
+def lazy_walks(draw):
+    """A random point cloud at n = 1 or 2, the time-invariant hyperplane or
+    the Cantor set, which answers UNKNOWN; a base at level 0 or 1 and a
+    search cap."""
+    kind = draw(st.sampled_from(["points", "hyperplane", "cantor"]))
+    n = draw(st.sampled_from((1, 2))) if kind == "points" else 1
+    p = 2.0 if n == 2 else draw(st.sampled_from((2.0, 1.5)))
+    root = WALK_ROOTS[n, p]
+    level = draw(st.integers(0, 1))
+    base = root.address(level, tuple(draw(st.integers(0, (1 << root.geom.d * level) - 1))
+                                     for _ in range(n)), draw(st.integers(-2, 2)))
+    cap = draw(st.integers(1, 2))
+    if kind == "hyperplane":
+        (lo, hi), = base.spatial_intervals()
+        return SpatialHyperplane(0, draw(st.floats(float(lo), float(hi)))), base, cap
+    if kind == "cantor":
+        return cantor_times_time(p, depth_cap=draw(st.integers(1, 2))), base, cap
+    spatial, (t_lo, t_hi) = base.run_box(1)
+    points = [tuple(draw(st.floats(lo, hi)) for lo, hi in spatial) + (draw(st.floats(t_lo, t_hi)),)
+              for _ in range(draw(st.integers(1, 6)))]
+    return PointCloud(tuple(points)), base, cap
+
+
+def _record_walk(walk, model, base, cap, first_free):
+    """Every level's (free, unknown, rest) as keys, and the runs tested."""
+    tested = []
+    real = porosity._freeness
+
+    def recording(model, addr, run):
+        tested.append((addr.key(), run))
+        return real(model, addr, run)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(porosity, "_freeness", recording)
+        levels = [([(a.key(), m) for a, m in free], unknown, [(a.key(), m) for a, m in rest])
+                  for free, unknown, rest in walk(model, base, cap, first_free=first_free)]
+    return levels, tested
+
+
+@given(case=lazy_walks(), first_free=st.booleans())
+@example(case=(cantor_times_time(2.0, depth_cap=1), WALK_ROOTS[1, 2.0].address(), 2),
+         first_free=True)
+# two neighbouring level-1 cells of one slab hold a point each, so their
+# level-2 children interleave in (temporal, spatial) order
+@example(case=(PointCloud(((0.0, -0.7, -0.55), (0.0, -0.4, -0.55))),
+               WALK_ROOTS[2, 2.0].address(), 2), first_free=False)
+@settings(max_examples=80, deadline=None)
+def test_lazy_walk_tests_what_the_eager_walk_tested(case, first_free):
+    # children made only when their parent comes off the heap: the same
+    # runs are tested in the same order, with the same levels, as when
+    # every level's frontier is built in full
+    model, base, cap = case
+    got = _record_walk(porosity._walk, model, base, cap, first_free)
+    want = _record_walk(reference_run_walk, model, base, cap, first_free)
+    assert got == want
 
 
 def test_hole_of_translate_integer_vs_real(unit_root, hyperplane):
